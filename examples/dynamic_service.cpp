@@ -24,12 +24,6 @@
 //   rollback  stress-aborts: applies an escalating series of batches in
 //             one transaction and aborts, asserting the engine state is
 //             bit-identical to the pre-transaction capture.
-//   shards    the same service split across 4 range-partitioned shard
-//             engines behind ShardedEngine: per-tick boundary-cone
-//             exchange counters, a speculative cross-shard what-if with
-//             no committed residue, and checksummed composed versioned
-//             reads — every tick checked bit-exact against a single
-//             reference engine fed identical traffic.
 //   stats     serves a shorter mixed loop (commits + aborted speculation)
 //             with a periodic structured stats dump — the obs registry's
 //             JSON, engine.* /repro.* /txn.* /ring.* counters and
@@ -347,75 +341,6 @@ int cmd_readers() {
   return failures == 0 && total_reads > 0 && every_reader_current ? 0 : 1;
 }
 
-int cmd_shards() {
-  // Sharded deployment demo: the same service split across 4
-  // range-partitioned shard engines behind ShardedEngine, fed the
-  // identical traffic as a single reference engine and checked
-  // bit-exact after every tick. Prints the boundary-cone exchange
-  // counters (rounds, ghost activity seeds, conflict retries) that the
-  // sharded_batch bench races at scale, demonstrates a speculative
-  // what_if with no committed residue, and finishes with a checksummed
-  // composed read of a retained version.
-  const uint64_t ticks = 6;
-  const uint32_t shards = 4;
-  const CsrGraph g = make_base();
-  const PrioritySource src = PrioritySource::weight_hash_tiebreak(g_seed + 1);
-  DynamicMis single(EngineOptions::with_source(g, src));
-  const RangePartitioner part(g_n, shards);
-  ShardedEngine<MisTxnTraits> sharded(g, part, src);
-
-  std::cout << "shards: " << shards << " " << sharded.partitioner_name()
-            << "-partitioned MIS engines vs one reference engine\n";
-  for (uint32_t s = 0; s < shards; ++s)
-    std::cout << "  shard " << s << ": " << sharded.live_ghosts(s).size()
-              << " ghost vertices (non-owned endpoints of live cross "
-                 "edges)\n";
-  const auto& built = sharded.construction_exchange();
-  std::cout << "  construction exchange: " << built.rounds << " rounds, "
-            << built.boundary_seeds << " boundary seeds\n";
-  if (sharded.solution() != single.solution()) return 1;
-
-  for (uint64_t tick = 1; tick <= ticks; ++tick) {
-    const UpdateBatch batch = traffic(single.graph(), 7'000 + tick);
-    single.apply_batch(batch);
-    Timer t;
-    const BatchStats stats = sharded.apply_batch(batch);
-    const auto& ex = sharded.last_exchange();
-    const bool exact = sharded.solution() == single.solution();
-    std::cout << "tick " << tick << ": " << fmt_double(t.elapsed_ms(), 3)
-              << " ms sharded (" << stats.summary() << ")\n  exchange: "
-              << ex.rounds << " rounds, " << ex.boundary_seeds
-              << " boundary seeds, " << ex.conflict_retries
-              << " conflict retries; composed solution "
-              << (exact ? "bit-exact" : "DIVERGED") << "\n";
-    if (!exact) return 1;
-
-    if (tick % 3 == 0) {
-      // Speculative cross-shard what-if: evaluated through the same
-      // exchange, then rolled back on every shard — no residue.
-      const auto committed = sharded.committed_solution();
-      const auto what =
-          sharded.what_if(traffic(single.graph(), 8'000 + tick, 4));
-      std::cout << "  what-if across shards: " << what.exchange.rounds
-                << " exchange rounds speculated+rolled back; committed "
-                << (sharded.committed_solution() == committed
-                        ? "untouched"
-                        : "DISTURBED")
-                << "\n";
-      if (sharded.committed_solution() != committed) return 1;
-    }
-  }
-
-  const uint64_t oldest = sharded.oldest_version();
-  const auto view = sharded.read(oldest);
-  std::cout << "composed read of retained version " << oldest << ": "
-            << (view.verify_checksums() ? "checksums verified"
-                                        : "CHECKSUM FAILURE")
-            << " across " << shards << " shard views (lockstep clock at "
-            << sharded.version().value() << ")\n";
-  return view.verify_checksums() ? 0 : 1;
-}
-
 int cmd_stats() {
 #if PARGREEDY_OBS
   const uint64_t ticks = 12;
@@ -449,27 +374,10 @@ int cmd_stats() {
     }
   }
 
-  // Sharded segment: a few ticks through a 4-shard engine, so the dump
-  // below carries labeled per-shard series (shard.*{shard="s"}) and not
-  // just the merged shard.* totals that hide skew.
-  {
-    const uint32_t shards = 4;
-    const RangePartitioner part(g_n, shards);
-    ShardedEngine<MisTxnTraits> sharded(
-        g, part, PrioritySource::weight_hash_tiebreak(g_seed + 1));
-    for (uint64_t tick = 1; tick <= 3; ++tick)
-      sharded.apply_batch(traffic(mis.graph(), 9'000 + tick));
-    const auto& ex = sharded.lifetime_exchange();
-    std::cout << "\nsharded segment: " << shards << " shards, "
-              << ex.rounds << " exchange rounds, " << ex.boundary_seeds
-              << " boundary seeds, " << ex.conflict_retries
-              << " conflict retries\n";
-  }
-
-  std::cout << "\nper-shard breakdown (labeled series):\n";
+  std::cout << "\nper-engine breakdown (labeled series):\n";
   for (const auto& sample : registry.snapshot()) {
     const auto [base, labels] = obs::split_labels(sample.name);
-    if (labels.empty() || base.rfind("shard.", 0) != 0) continue;
+    if (labels.empty()) continue;
     std::cout << "  " << base << "{" << labels << "}  " << sample.counter
               << "\n";
   }
@@ -520,15 +428,10 @@ int main(int argc, char** argv) {
            "  readers   4 query threads serve lock-free committed reads\n"
            "            through read() ReadViews (checksummed) while the\n"
            "            writer loop commits and aborts\n"
-           "  shards    the service split across 4 range-partitioned\n"
-           "            shard engines (ShardedEngine): per-tick\n"
-           "            boundary-cone exchange counters, a cross-shard\n"
-           "            what-if with no committed residue, composed\n"
-           "            versioned reads — bit-exact vs one engine\n"
-           "  stats     short serving loop (plus a 4-shard segment) with\n"
-           "            a periodic structured stats dump (obs registry\n"
-           "            JSON), the labeled per-shard breakdown, and a\n"
-           "            final human-readable metric catalog\n"
+           "  stats     short serving loop with a periodic structured\n"
+           "            stats dump (obs registry JSON), the labeled\n"
+           "            per-engine breakdown, and a final human-readable\n"
+           "            metric catalog\n"
            "\n"
            "options:\n"
            "  --trace-out <file>   record scoped spans and write a Chrome\n"
@@ -536,12 +439,12 @@ int main(int argc, char** argv) {
            "                       chrome://tracing or ui.perfetto.dev)\n"
            "  --prom-out <file>    write the metrics registry snapshot in\n"
            "                       Prometheus text exposition format on\n"
-           "                       exit (per-shard/per-policy labeled\n"
-           "                       series included)\n"
+           "                       exit (per-engine labeled series\n"
+           "                       included)\n"
            "  --events-out <file>  write the flight recorder's retained\n"
            "                       events (the last ~64k structured\n"
-           "                       records with batch/txn/shard\n"
-           "                       correlation ids) as JSON on exit\n"
+           "                       records with batch/txn correlation\n"
+           "                       ids) as JSON on exit\n"
            "\n"
            "arguments:\n"
            "  n     vertex count of the random base graph (default 50000)\n"
@@ -604,14 +507,12 @@ int main(int argc, char** argv) {
     rc = cmd_rollback();
   else if (command == "readers")
     rc = cmd_readers();
-  else if (command == "shards")
-    rc = cmd_shards();
   else if (command == "stats")
     rc = cmd_stats();
   else
     std::cerr << "unknown command '" << command
               << "' (expected serve, what-if, snapshot, rollback, "
-                 "readers, shards, or stats); see --help\n";
+                 "readers, or stats); see --help\n";
 
 #if PARGREEDY_OBS
   if (!trace_out.empty() && pargreedy::obs::Tracer::global().active()) {

@@ -91,10 +91,6 @@ JOURNAL_EXEMPT_METHODS = {
     "set_journal",      # the attach/detach seam itself
     "undo_to",          # the replay path — consumes records
     "OverlayGraph",     # constructors
-    "enable_frontier_tracking",  # forbidden while attached (checked); the
-                                 # counters it seeds are derived state kept
-                                 # exact by the journaled mutators
-    "track_edge",       # derived-counter maintenance, no structural change
 }
 
 # ---------------------------------------------------------- C++ lexing ----

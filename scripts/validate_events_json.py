@@ -1,39 +1,33 @@
 #!/usr/bin/env python3
 """Validate flight-recorder event JSON exported by the obs EventRecorder.
 
-Usage: validate_events_json.py FILE [FILE ...]
-           [--require KIND[,KIND...]] [--require-chain N]
+Usage: validate_events_json.py FILE [FILE ...] [--require KIND[,KIND...]]
 
-Each FILE must be a "pargreedy-events-v1" document as emitted by
+Each FILE must be a "pargreedy-events-v2" document as emitted by
 pargreedy's obs::EventRecorder (docs/OBSERVABILITY.md):
 
-  * top level: an object with string "schema" == "pargreedy-events-v1",
+  * top level: an object with string "schema" == "pargreedy-events-v2",
     string "reason", integer "overwritten" >= 0, and a non-empty
     "events" list;
-  * every event: an object with integer "ts"/"tid"/"batch_id"/"txn_id"
-    >= 0, integer "shard_id" >= -1 (-1 = no shard context), integer
-    "arg0"/"arg1" >= 0, and a non-empty string "kind";
+  * every event: an object with integer "ts"/"tid"/"batch_id"/"txn_id"/
+    "arg0"/"arg1" >= 0 and a non-empty string "kind";
   * timestamps are non-decreasing (the recorder merges per-thread rings
     sorted by timestamp).
 
 --require KIND[,KIND...] additionally demands that every listed event
-kind occurs somewhere in each file — the CI bench-capture lane uses it
-to pin the exchange-round and repropagation events, so an
-instrumentation regression fails the lane instead of shipping a hollow
-recording.
-
---require-chain N demands that some single batch_id's events span at
-least N distinct shard_ids — the machine check that one UpdateBatch is
-followable across all shards of a sharded run via its correlation id.
+kind occurs somewhere in each file — CI uses it to pin the batch,
+repropagation and transaction events, so an instrumentation regression
+fails the lane instead of shipping a hollow recording.
 
 Exits 0 when every file validates, 1 otherwise (all problems are
-reported, not just the first), 2 on usage errors.
+reported, not just the first), 2 on usage errors (including an unknown
+option).
 """
 import json
 import sys
 from pathlib import Path
 
-SCHEMA = "pargreedy-events-v1"
+SCHEMA = "pargreedy-events-v2"
 
 
 def _nonneg_int(value) -> bool:
@@ -51,13 +45,10 @@ def validate_event(event, where: str) -> list[str]:
     for key in ("ts", "tid", "batch_id", "txn_id", "arg0", "arg1"):
         if not _nonneg_int(event.get(key)):
             errors.append(f"{where}: '{key}' must be a non-negative integer")
-    shard = event.get("shard_id")
-    if not isinstance(shard, int) or isinstance(shard, bool) or shard < -1:
-        errors.append(f"{where}: 'shard_id' must be an integer >= -1")
     return errors
 
 
-def validate_file(path: Path, required: list[str], chain: int):
+def validate_file(path: Path, required: list[str]):
     """(errors, event count) for one events file."""
     if not path.is_file():
         return [f"{path}: missing (recorder did not export)"], 0
@@ -78,7 +69,6 @@ def validate_file(path: Path, required: list[str], chain: int):
     if not isinstance(events, list) or not events:
         return errors + [f"{path}: 'events' must be a non-empty list"], 0
     seen_kinds = set()
-    shards_per_batch = {}
     last_ts = 0
     for i, event in enumerate(events):
         errors += validate_event(event, f"{path} event {i}")
@@ -92,24 +82,14 @@ def validate_file(path: Path, required: list[str], chain: int):
                 errors.append(
                     f"{path} event {i}: 'ts' decreased ({ts} < {last_ts})")
             last_ts = ts
-        batch, shard = event.get("batch_id"), event.get("shard_id")
-        if _nonneg_int(batch) and batch > 0 and isinstance(shard, int) \
-                and not isinstance(shard, bool) and shard >= 0:
-            shards_per_batch.setdefault(batch, set()).add(shard)
     for kind in required:
         if kind not in seen_kinds:
             errors.append(f"{path}: required event kind {kind!r} never occurs")
-    if chain > 0:
-        widest = max((len(s) for s in shards_per_batch.values()), default=0)
-        if widest < chain:
-            errors.append(
-                f"{path}: no batch_id spans {chain} shards "
-                f"(widest correlated chain covers {widest})")
     return errors, len(events)
 
 
 def main(argv: list[str]) -> int:
-    files, required, chain = [], [], 0
+    files, required = [], []
     args = argv[1:]
     while args:
         arg = args.pop(0)
@@ -118,17 +98,9 @@ def main(argv: list[str]) -> int:
                 print("error: --require needs an argument", file=sys.stderr)
                 return 2
             required += [n for n in args.pop(0).split(",") if n]
-        elif arg == "--require-chain":
-            if not args:
-                print("error: --require-chain needs an argument",
-                      file=sys.stderr)
-                return 2
-            try:
-                chain = int(args.pop(0))
-            except ValueError:
-                print("error: --require-chain needs an integer",
-                      file=sys.stderr)
-                return 2
+        elif arg.startswith("--"):
+            print(f"error: unknown option {arg}", file=sys.stderr)
+            return 2
         else:
             files.append(Path(arg))
     if not files:
@@ -136,7 +108,7 @@ def main(argv: list[str]) -> int:
         return 2
     errors = []
     for path in files:
-        file_errors, count = validate_file(path, required, chain)
+        file_errors, count = validate_file(path, required)
         if file_errors:
             errors += file_errors
         else:

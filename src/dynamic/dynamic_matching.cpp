@@ -149,7 +149,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   // The caller holds writer_role_; the engine is the overlay's one writer
   // for the duration of the batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or a sharded driver's
+  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
   PG_OBS_SPAN1(span_batch, "apply_batch", "matching", "batch_size",
                batch.size());
   PG_OBS_EVENT1(kBatchBegin, batch.size());

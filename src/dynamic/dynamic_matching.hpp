@@ -182,16 +182,6 @@ class DynamicMatching {
   /// The live graph including edges at inactive vertices (overlay state).
   [[nodiscard]] const OverlayGraph& graph() const { return graph_; }
 
-  /// Sharding seam: installs partition labels on the underlying overlay
-  /// so it maintains live cross-partition degrees incrementally (see
-  /// OverlayGraph::enable_frontier_tracking). Must run before a
-  /// transaction attaches a journal (checked there).
-  void enable_frontier_tracking(std::vector<uint32_t> part)
-      PARGREEDY_REQUIRES(writer_role_) {
-    support::RoleScope overlay_writer(graph_.writer_role_);
-    graph_.enable_frontier_tracking(std::move(part));
-  }
-
   /// The oracle's view: live edges with both endpoints active.
   [[nodiscard]] CsrGraph active_subgraph() const;
 

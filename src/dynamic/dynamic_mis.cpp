@@ -95,7 +95,7 @@ uint64_t DynamicMis::size() const {
 BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   // The engine is the overlay's writer for the scope of this batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or a sharded driver's
+  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
   PG_OBS_SPAN1(span_batch, "apply_batch", "mis", "batch_size", batch.size());
   PG_OBS_EVENT1(kBatchBegin, batch.size());
   const uint64_t n = num_vertices();

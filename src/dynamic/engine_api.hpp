@@ -12,18 +12,17 @@
 //                     read as intent, not positional soup.
 //
 //   DynamicEngineApi  the concept the generic layers program against.
-//                     Transaction<Traits> (src/txn/) and ShardedEngine
-//                     (src/shard/) only ever touch an engine through the
-//                     operations listed here; engine_traits.hpp
-//                     static_asserts that both engines model it, so a
-//                     drifting engine surface is a compile error at the
-//                     point that documents the contract.
+//                     Transaction<Traits> (src/txn/) only ever touches an
+//                     engine through the operations listed here;
+//                     engine_traits.hpp static_asserts that both engines
+//                     model it, so a drifting engine surface is a compile
+//                     error at the point that documents the contract.
 //
 // The concept deliberately names the *transactional* seam (txn_attach /
 // txn_mark / txn_rollback) next to the everyday operations: an engine that
-// cannot checkpoint and roll back in O(dirty) cannot sit under the txn or
-// shard layers, so the requirement is part of the public contract rather
-// than a private handshake.
+// cannot checkpoint and roll back in O(dirty) cannot sit under the txn
+// layer, so the requirement is part of the public contract rather than a
+// private handshake.
 //
 // Option semantics (identical to the removed overloads, bit for bit):
 //
@@ -112,9 +111,9 @@ struct EngineOptions {
   }
 };
 
-/// The operations the generic layers (Transaction, ShardedEngine, the
-/// repro adapters) rely on. Both engines model this; engine_traits.hpp
-/// carries the static_asserts. The writer-role requirements on the
+/// The operations the generic layers (Transaction, the repro adapters)
+/// rely on. Both engines model this; engine_traits.hpp carries the
+/// static_asserts. The writer-role requirements on the
 /// mutators are invisible here (requires-expressions are unevaluated) but
 /// still enforced at every real call site by -Wthread-safety.
 template <typename E>

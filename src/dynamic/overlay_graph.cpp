@@ -158,7 +158,6 @@ EdgeSlot OverlayGraph::insert_edge(VertexId u, VertexId v, Weight w) {
     }
     ++live_edges_;
     ++epoch_;
-    track_edge(e, +1);
     if (edge_weighted_) set_slot_weight(s, w);
     PG_OBS_COUNT(obs::kOverlaySlotsRevived, 1);
     return s;
@@ -171,7 +170,6 @@ EdgeSlot OverlayGraph::insert_edge(VertexId u, VertexId v, Weight w) {
   extra_adj_[e.v].emplace_back(e.u, idx);
   ++live_edges_;
   ++epoch_;
-  track_edge(e, +1);
   if (journal_) journal_->record(OverlayUndoRecord::Kind::kAppendExtra, idx);
   PG_OBS_COUNT(obs::kOverlaySlotsGrown, 1);
   return base_.num_edges() + idx;
@@ -192,7 +190,6 @@ EdgeSlot OverlayGraph::erase_edge(VertexId u, VertexId v) {
   }
   --live_edges_;
   ++epoch_;
-  track_edge(slot_edge(s), -1);
   return s;
 }
 
@@ -290,23 +287,19 @@ void OverlayGraph::undo_to(std::size_t mark, uint64_t epoch_at_mark) {
         base_dead_[r.index] = 0;
         --dead_base_;
         ++live_edges_;
-        track_edge(base_.edge(static_cast<EdgeId>(r.index)), +1);
         break;
       case OverlayUndoRecord::Kind::kEraseExtra:
         extra_dead_[r.index] = 0;
         ++live_edges_;
-        track_edge(extra_edges_[r.index], +1);
         break;
       case OverlayUndoRecord::Kind::kReviveBase:
         base_dead_[r.index] = 1;
         ++dead_base_;
         --live_edges_;
-        track_edge(base_.edge(static_cast<EdgeId>(r.index)), -1);
         break;
       case OverlayUndoRecord::Kind::kReviveExtra:
         extra_dead_[r.index] = 1;
         --live_edges_;
-        track_edge(extra_edges_[r.index], -1);
         break;
       case OverlayUndoRecord::Kind::kAppendExtra: {
         PG_DCHECK(!extra_edges_.empty() && !extra_dead_.back());
@@ -319,7 +312,6 @@ void OverlayGraph::undo_to(std::size_t mark, uint64_t epoch_at_mark) {
         extra_dead_.pop_back();
         if (edge_weighted_) extra_weights_.pop_back();
         --live_edges_;
-        track_edge(e, -1);
         break;
       }
       case OverlayUndoRecord::Kind::kSlotWeight:
@@ -341,26 +333,6 @@ void OverlayGraph::undo_to(std::size_t mark, uint64_t epoch_at_mark) {
   }
   journal_->truncate(mark);
   epoch_ = epoch_at_mark;
-}
-
-void OverlayGraph::enable_frontier_tracking(std::vector<uint32_t> part) {
-  PG_CHECK_MSG(part.size() == num_vertices(),
-               "partition labelling size != vertex count");
-  PG_CHECK_MSG(journal_ == nullptr,
-               "enable frontier tracking before attaching a journal "
-               "(replay of pre-enable records would desync the counters)");
-  part_ = std::move(part);
-  cross_deg_.assign(num_vertices(), 0);
-  const auto seed = [&](const Edge& e) {
-    if (part_[e.u] != part_[e.v]) {
-      ++cross_deg_[e.u];
-      ++cross_deg_[e.v];
-    }
-  };
-  for (EdgeId e = 0; e < base_.num_edges(); ++e)
-    if (!base_dead_[e]) seed(base_.edge(e));
-  for (std::size_t i = 0; i < extra_edges_.size(); ++i)
-    if (!extra_dead_[i]) seed(extra_edges_[i]);
 }
 
 void OverlayGraph::compact() {

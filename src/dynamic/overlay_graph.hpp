@@ -246,47 +246,6 @@ class OverlayGraph {
   void undo_to(std::size_t mark, uint64_t epoch_at_mark)
       PARGREEDY_REQUIRES(writer_role_);
 
-  // ---- Frontier tracking (sharding support) ---------------------------
-  //
-  // When a partition labelling is installed, the overlay maintains a
-  // per-vertex count of live *cross-partition* edges, updated at every
-  // liveness flip (insert, erase, undo replay; compact() preserves the
-  // live edge set, so counts survive it unchanged). The sharded engine
-  // (src/shard/) uses this to track its boundary cone incrementally: a
-  // vertex is "on the frontier" exactly while it has at least one live
-  // edge whose endpoints are owned by different shards — an O(1) query
-  // instead of an O(degree) rescan per exchange round.
-
-  /// Installs partition labels (one per vertex) and scans the live edge
-  /// set once to seed the cross-partition counters; subsequent mutations
-  /// keep them exact. Checked: one label per vertex, no journal attached
-  /// (enable before the transaction layer takes over — replay of records
-  /// written pre-enable would desynchronize the counters).
-  void enable_frontier_tracking(std::vector<uint32_t> part)
-      PARGREEDY_REQUIRES(writer_role_);
-
-  /// True once enable_frontier_tracking has installed labels.
-  [[nodiscard]] bool frontier_tracking() const noexcept {
-    return !part_.empty();
-  }
-
-  /// Partition label of v. Precondition: frontier_tracking().
-  [[nodiscard]] uint32_t partition_of(VertexId v) const {
-    return part_[v];
-  }
-
-  /// Number of live edges incident on v whose other endpoint lives in a
-  /// different partition. Precondition: frontier_tracking().
-  [[nodiscard]] uint64_t cross_degree(VertexId v) const {
-    return cross_deg_[v];
-  }
-
-  /// True iff v currently has at least one live cross-partition edge.
-  /// Precondition: frontier_tracking().
-  [[nodiscard]] bool on_frontier(VertexId v) const {
-    return cross_deg_[v] != 0;
-  }
-
  private:
   /// Slot of edge {u, v} in either layer regardless of liveness, or
   /// kInvalidSlot when the edge was never stored. Probes the lower-degree
@@ -307,16 +266,6 @@ class OverlayGraph {
   /// (no filter).
   [[nodiscard]] CsrGraph gather_csr(std::span<const uint8_t> active) const;
 
-  /// Applies a liveness flip of edge `e` (+1 live / -1 dead) to the
-  /// cross-partition counters. No-op unless frontier tracking is on.
-  void track_edge(const Edge& e, int delta) PARGREEDY_REQUIRES(writer_role_) {
-    if (part_.empty() || part_[e.u] == part_[e.v]) return;
-    cross_deg_[e.u] = static_cast<uint64_t>(
-        static_cast<int64_t>(cross_deg_[e.u]) + delta);
-    cross_deg_[e.v] = static_cast<uint64_t>(
-        static_cast<int64_t>(cross_deg_[e.v]) + delta);
-  }
-
   CsrGraph base_;
   std::vector<uint8_t> base_dead_;   // per base edge id
   std::vector<Edge> extra_edges_;    // inserted edges, canonical
@@ -334,11 +283,6 @@ class OverlayGraph {
                             // overlay_fraction trigger
   uint64_t epoch_ = 0;      // bumped per successful mutation; restored by
                             // undo_to
-  // Frontier tracking (empty = disabled): partition label per vertex and
-  // live cross-partition degree per vertex, maintained at every liveness
-  // flip (see the public accessors above).
-  std::vector<uint32_t> part_;
-  std::vector<uint64_t> cross_deg_;
   // Attached undo log (not owned). Guarded — pointer and pointee — by
   // the writer role: only writer-held code reads or appends records.
   OverlayJournal* journal_ PARGREEDY_GUARDED_BY(writer_role_)

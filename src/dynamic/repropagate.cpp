@@ -55,12 +55,12 @@ void obs_accumulate_batch(const BatchStats& stats, const char* engine_label,
                    stats.changed);
   }
   if (num_vertices > 1 && stats.rounds > 0) {
-    // The paper's guarantee, watched live: observed repropagation depth
-    // vs the O(log^2 n) round bound, in permille. bit_width(n) is
-    // ceil(log2 n) up to rounding — stable, cheap, and monotone in n,
-    // which is all a health ratio needs.
-    const uint64_t log_n = std::bit_width(num_vertices);
-    const uint64_t bound = log_n * log_n;
+    // The round bound, watched live: observed repropagation depth vs
+    // Fischer & Noever's tight Theta(log n) dependence depth
+    // (arXiv:1707.05124; the paper proves O(log^2 n)), in permille.
+    // bit_width(n) is ceil(log2 n) up to rounding — stable, cheap, and
+    // monotone in n, which is all a health ratio needs.
+    const uint64_t bound = std::bit_width(num_vertices);
     const uint64_t permille = stats.rounds * 1000 / bound;
     PG_OBS_GAUGE(obs::kReproDepthRatio, permille);
     PG_OBS_HIST(obs::kReproDepthRatioDist, permille);

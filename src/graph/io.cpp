@@ -8,6 +8,20 @@
 
 namespace pargreedy {
 
+namespace {
+
+/// Bytes of `path` not yet consumed by `in`: the upper bound every header
+/// count is checked against before anything is allocated from it.
+uint64_t bytes_left(std::istream& in, const std::filesystem::path& path) {
+  const auto pos = in.tellg();
+  PG_CHECK_MSG(pos >= 0, "cannot determine read position in " << path);
+  const uint64_t size = std::filesystem::file_size(path);
+  const auto consumed = static_cast<uint64_t>(pos);
+  return size > consumed ? size - consumed : 0;
+}
+
+}  // namespace
+
 void write_adjacency_graph(const std::filesystem::path& path,
                            const CsrGraph& g) {
   std::ofstream out(path);
@@ -30,6 +44,12 @@ CsrGraph read_adjacency_graph(const std::filesystem::path& path) {
   uint64_t n = 0, arcs = 0;
   in >> n >> arcs;
   PG_CHECK_MSG(in.good(), "truncated header in " << path);
+  // Every offset and target takes at least one byte of text, so the body
+  // must hold n + arcs bytes; checked before either array is allocated.
+  const uint64_t left = bytes_left(in, path);
+  PG_CHECK_MSG(arcs <= left && n <= left - arcs,
+               "header (n=" << n << ", arcs=" << arcs << ") exceeds the "
+                            << left << " bytes left in " << path);
   std::vector<Offset> offsets(n + 1, 0);
   for (uint64_t v = 0; v < n; ++v) in >> offsets[v];
   offsets[n] = arcs;
@@ -116,17 +136,36 @@ CsrGraph read_binary_graph(const std::filesystem::path& path) {
   in.read(reinterpret_cast<char*>(&n), sizeof n);
   in.read(reinterpret_cast<char*>(&m), sizeof m);
   PG_CHECK_MSG(in.good(), "truncated header in " << path);
+  PG_CHECK_MSG(n <= kInvalidVertex,
+               "vertex count " << n << " exceeds the vertex id range in "
+                               << path);
+  // Bound m by the bytes actually present before allocating the table.
+  // Dividing (not multiplying) also keeps m * sizeof(Edge) from
+  // overflowing.
+  const uint64_t left = bytes_left(in, path);
+  PG_CHECK_MSG(m <= left / sizeof(Edge),
+               "edge count " << m << " exceeds the " << left
+                             << " bytes left in " << path);
+  const uint64_t table_bytes = m * sizeof(Edge);
   EdgeList edges(n);
   edges.mutable_edges().resize(m);
   in.read(reinterpret_cast<char*>(edges.mutable_edges().data()),
-          static_cast<std::streamsize>(m * sizeof(Edge)));
-  PG_CHECK_MSG(in.gcount() ==
-                   static_cast<std::streamsize>(m * sizeof(Edge)),
+          static_cast<std::streamsize>(table_bytes));
+  PG_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(table_bytes),
                "truncated edge table in " << path);
   PG_CHECK_MSG(edges.endpoints_in_range(),
                "endpoint out of range in " << path);
-  // The writer emits the canonical (sorted, deduped) table, so the
-  // normalization pass can be skipped; validate_csr in tests confirms.
+  // The writer emits the canonical table (u < v, strictly increasing), so
+  // the normalization pass is skipped — but only after one O(m) pass
+  // confirms the bytes keep that contract.
+  const std::span<const Edge> table = edges.edges();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    PG_CHECK_MSG(table[i].u < table[i].v,
+                 "edge " << i << " is not canonical (u < v) in " << path);
+    PG_CHECK_MSG(i == 0 || table[i - 1] < table[i],
+                 "edge table not strictly increasing at edge "
+                     << i << " in " << path);
+  }
   return CsrGraph::from_edges(edges, /*assume_normalized=*/true);
 }
 

@@ -21,7 +21,9 @@ namespace pargreedy {
 void write_adjacency_graph(const std::filesystem::path& path,
                            const CsrGraph& g);
 
-/// Reads a PBBS AdjacencyGraph file. Throws CheckFailure on malformed input.
+/// Reads a PBBS AdjacencyGraph file. Throws CheckFailure on malformed input,
+/// including header counts the file is too short to hold (checked before
+/// anything is allocated from them).
 CsrGraph read_adjacency_graph(const std::filesystem::path& path);
 
 /// Writes an edge list as "EdgeArray\n" then "u v" lines.
@@ -39,7 +41,10 @@ void write_binary_graph(const std::filesystem::path& path,
                         const CsrGraph& g);
 
 /// Reads a binary graph written by write_binary_graph. Throws CheckFailure
-/// on bad magic, truncation, or out-of-range endpoints.
+/// on bad magic, truncation, an edge count the file is too short to hold
+/// (checked before allocating), a vertex count beyond the 32-bit id range,
+/// out-of-range endpoints, or an edge table that is not canonical (every
+/// edge u < v, strictly increasing).
 CsrGraph read_binary_graph(const std::filesystem::path& path);
 
 }  // namespace pargreedy

@@ -40,18 +40,6 @@ const char* event_kind_name(EventKind kind) noexcept {
       return "txn.abort";
     case EventKind::kTxnEpochFail:
       return "txn.epoch_fail";
-    case EventKind::kShardApply:
-      return "shard.apply";
-    case EventKind::kExchangeRound:
-      return "shard.exchange_round";
-    case EventKind::kForcing:
-      return "shard.forcing";
-    case EventKind::kConflictRetry:
-      return "shard.conflict_retry";
-    case EventKind::kCertFail:
-      return "shard.cert_fail";
-    case EventKind::kArbitrate:
-      return "shard.arbitrate";
     case EventKind::kDump:
       return "events.dump";
     case EventKind::kKindCount:
@@ -73,7 +61,6 @@ void EventRecorder::record(EventKind kind, uint64_t arg0,
   slot.txn_id = c.txn_id;
   slot.arg0 = arg0;
   slot.arg1 = arg1;
-  slot.shard_id = c.shard_id;
   slot.kind = static_cast<uint16_t>(kind);
   slot.tid = ring.tid;
   ring.seq.store(seq + 1, std::memory_order_relaxed);
@@ -131,7 +118,7 @@ void EventRecorder::clear() {
 
 void EventRecorder::write_json(std::ostream& out,
                                const std::string& reason) const {
-  out << "{\"schema\": \"pargreedy-events-v1\", \"reason\": \"";
+  out << "{\"schema\": \"pargreedy-events-v2\", \"reason\": \"";
   for (char ch : reason) {
     if (ch == '"' || ch == '\\') out << '\\';
     out << ch;
@@ -142,9 +129,6 @@ void EventRecorder::write_json(std::ostream& out,
     out << sep << "  {\"ts\": " << e.ts_us << ", \"tid\": " << e.tid
         << ", \"kind\": \"" << event_kind_name(static_cast<EventKind>(e.kind))
         << "\", \"batch_id\": " << e.batch_id << ", \"txn_id\": " << e.txn_id
-        << ", \"shard_id\": "
-        << (e.shard_id == kNoShard ? int64_t{-1}
-                                   : static_cast<int64_t>(e.shard_id))
         << ", \"arg0\": " << e.arg0 << ", \"arg1\": " << e.arg1 << "}";
     sep = ",\n";
   }

@@ -8,9 +8,8 @@
 // two payload words) into its thread's fixed-capacity ring, newest
 // overwriting oldest, so the last ~64k events are always available for a
 // merged JSON dump — on demand (`dynamic_service stats --events-out`,
-// bench capture) or automatically on failure paths (engine epoch-guard
-// throws, matching certificate arbitration, exchange divergence) via
-// dump_failure() when PARGREEDY_EVENTS_DIR is set.
+// bench capture) or automatically on failure paths (the transaction
+// epoch guard) via dump_failure() when PARGREEDY_EVENTS_DIR is set.
 //
 // Cost contract: a record is a handful of plain stores into memory only
 // the owning thread writes, published by ONE relaxed store of the ring's
@@ -19,13 +18,12 @@
 // (obs/obs.hpp) already do. Events observe, never steer: nothing here
 // feeds back into algorithm state.
 //
-// Correlation: records carry (batch_id, txn_id, shard_id) read from a
-// thread-local context maintained by the RAII scopes below
-// (PG_OBS_BATCH_SCOPE / PG_OBS_TXN_SCOPE / PG_OBS_SHARD_SCOPE).
-// BatchScope assigns a fresh process-unique id only when none is open,
-// so ShardedEngine's outer scope is inherited by the per-shard engine
-// applies it drives — one UpdateBatch is one batch_id across every
-// shard, which is what makes a dump followable.
+// Correlation: records carry (batch_id, txn_id) read from a thread-local
+// context maintained by the RAII scopes below (PG_OBS_BATCH_SCOPE /
+// PG_OBS_TXN_SCOPE). BatchScope assigns a fresh process-unique id only
+// when none is open, so a nested scope inherits the outer id — one
+// UpdateBatch is one batch_id from begin to end, which is what makes a
+// dump followable.
 //
 // Merge contract (same as Tracer's): merged()/write_json()/clear()
 // assume quiescence — no thread recording concurrently. Failure dumps
@@ -56,35 +54,25 @@ enum class EventKind : uint16_t {
   kTxnCommit,         ///< transaction committed (arg0 = journal records)
   kTxnAbort,          ///< transaction aborted (arg0 = 1 explicit, 0 destructor)
   kTxnEpochFail,      ///< epoch guard tripped (arg0 = seen, arg1 = expected)
-  kShardApply,        ///< user sub-batch routed to a shard (arg0 = size)
-  kExchangeRound,     ///< one shard's view of one exchange round
-                      ///< (arg0 = round, arg1 = forcing-batch size)
-  kForcing,           ///< a forcing batch applied (arg0 = round, arg1 = size)
-  kConflictRetry,     ///< savepoint rollback + re-force (arg0 = round)
-  kCertFail,          ///< matching boundary certificate rejected a fixpoint
-  kArbitrate,         ///< priority-order arbitration ran (arg0 = 1 soft-cap,
-                      ///< 0 certificate failure)
   kDump,              ///< a failure dump was requested (marks the dump point)
   kKindCount,         ///< sentinel — not a recordable kind
 };
 
-/// The dotted-string name of `kind` ("txn.begin", "shard.cert_fail", ...).
+/// The dotted-string name of `kind` ("txn.begin", "repro.round", ...).
 const char* event_kind_name(EventKind kind) noexcept;
 
-/// shard_id value meaning "not inside any shard's scope".
-inline constexpr uint32_t kNoShard = ~uint32_t{0};
-
-/// One fixed-size flight-recorder record (48 bytes).
+/// One fixed-size flight-recorder record (48 bytes: 44 of fields, padded
+/// to the 8-byte alignment).
 struct EventRecord {
   uint64_t ts_us = 0;           ///< micros_since_origin() at record time
   uint64_t batch_id = 0;        ///< correlation: 0 = outside any batch
   uint64_t txn_id = 0;          ///< correlation: 0 = outside any transaction
   uint64_t arg0 = 0;            ///< kind-specific payload (see EventKind)
   uint64_t arg1 = 0;            ///< kind-specific payload
-  uint32_t shard_id = kNoShard; ///< correlation: kNoShard = none
   uint16_t kind = 0;            ///< EventKind
   uint16_t tid = 0;             ///< recorder-assigned thread index
 };
+static_assert(sizeof(EventRecord) == 48);
 
 namespace detail {
 
@@ -92,7 +80,6 @@ namespace detail {
 struct Correlation {
   uint64_t batch_id = 0;
   uint64_t txn_id = 0;
-  uint32_t shard_id = kNoShard;
 };
 Correlation& correlation() noexcept;
 
@@ -108,8 +95,8 @@ inline uint64_t current_batch_id() noexcept {
 }
 
 /// Opens a batch correlation scope: assigns a fresh process-unique
-/// batch_id only when the thread has none open, so nested scopes (a
-/// sharded engine driving per-shard engines) inherit the outermost id.
+/// batch_id only when the thread has none open, so nested scopes inherit
+/// the outermost id.
 class BatchScope {
  public:
   BatchScope() noexcept {
@@ -144,21 +131,6 @@ class TxnScope {
   uint64_t prev_;
 };
 
-/// Sets the thread's shard correlation id for the scope (restores on exit).
-class ShardScope {
- public:
-  explicit ShardScope(uint32_t shard_id) noexcept
-      : prev_(detail::correlation().shard_id) {
-    detail::correlation().shard_id = shard_id;
-  }
-  ShardScope(const ShardScope&) = delete;
-  ShardScope& operator=(const ShardScope&) = delete;
-  ~ShardScope() { detail::correlation().shard_id = prev_; }
-
- private:
-  uint32_t prev_;
-};
-
 /// Owns the per-thread rings and the merge/export path. record() is the
 /// hot path; everything else assumes quiescence (see file comment).
 class EventRecorder {
@@ -188,10 +160,9 @@ class EventRecorder {
   void clear();
 
   /// One-object JSON dump of merged():
-  /// {"schema": "pargreedy-events-v1", "reason": ..., "overwritten": N,
-  ///  "events": [{"ts","tid","kind","batch_id","txn_id","shard_id",
-  ///  "arg0","arg1"}, ...]} — the shape scripts/validate_events_json.py
-  /// checks. shard_id is emitted as -1 when the record had none.
+  /// {"schema": "pargreedy-events-v2", "reason": ..., "overwritten": N,
+  ///  "events": [{"ts","tid","kind","batch_id","txn_id","arg0","arg1"},
+  ///  ...]} — the shape scripts/validate_events_json.py checks.
   void write_json(std::ostream& out,
                   const std::string& reason = "on_demand") const;
 

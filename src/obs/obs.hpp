@@ -101,7 +101,7 @@
 
 // Flight-recorder record (obs/events.hpp): one fixed-size event into the
 // calling thread's ring. `kind` is an UNQUALIFIED EventKind enumerator
-// (kTxnBegin, kExchangeRound, ...); one relaxed load when the runtime
+// (kTxnBegin, kReproRound, ...); one relaxed load when the runtime
 // switch is off, plain owner-thread stores + one relaxed publication
 // store when on.
 #define PG_OBS_EVENT(kind) \
@@ -128,12 +128,10 @@
 
 // Correlation scopes (obs/events.hpp): RAII thread-local context every
 // event records. BATCH assigns a fresh id only when none is open (inner
-// engines inherit a sharded driver's id); TXN/SHARD set-and-restore.
+// scopes inherit the outer id); TXN sets and restores.
 #define PG_OBS_BATCH_SCOPE(var) ::pargreedy::obs::BatchScope var
 #define PG_OBS_TXN_SCOPE(var, id) \
   ::pargreedy::obs::TxnScope var(static_cast<uint64_t>(id))
-#define PG_OBS_SHARD_SCOPE(var, shard) \
-  ::pargreedy::obs::ShardScope var(static_cast<uint32_t>(shard))
 // The innermost open batch id (0 when none) — for span args, so traces
 // and flight-recorder events correlate on the same id.
 #define PG_OBS_BATCH_ID() ::pargreedy::obs::current_batch_id()
@@ -155,7 +153,6 @@
 #define PG_OBS_EVENT_DUMP(reason) ((void)0)
 #define PG_OBS_BATCH_SCOPE(var) ((void)0)
 #define PG_OBS_TXN_SCOPE(var, id) ((void)0)
-#define PG_OBS_SHARD_SCOPE(var, shard) ((void)0)
 // Constant zero, not ((void)0): usable as a span-arg expression, still
 // free of code.
 #define PG_OBS_BATCH_ID() (uint64_t{0})
@@ -200,17 +197,13 @@ inline constexpr char kRingPush[] = "ring.push";
 inline constexpr char kRingEviction[] = "ring.eviction";
 inline constexpr char kRingReadHit[] = "ring.read_hit";
 inline constexpr char kRingReadMiss[] = "ring.read_miss";
-// Sharded engine boundary exchange (shard/sharded_engine.hpp):
-inline constexpr char kShardBoundarySeeds[] = "shard.boundary_seeds";
-inline constexpr char kShardConflictRetries[] = "shard.conflict_retries";
-inline constexpr char kShardExchangeRounds[] = "shard.exchange_rounds";
 // Lock-free published reads (txn/epoch.hpp, txn/published_state.hpp):
 inline constexpr char kReaderPins[] = "reader.pins";
 inline constexpr char kEpochReclaimed[] = "epoch.reclaimed";
 inline constexpr char kReaderStaleDistance[] = "reader.stale_read_distance";
 inline constexpr char kPublishedVersions[] = "published.versions";
-// Paper-grounded health: observed repropagation depth vs the O(log^2 n)
-// theoretical round bound, in permille (1000 = at the bound). The gauge
+// Theory-grounded health: observed repropagation depth vs the Theta(log n)
+// round bound (arXiv:1707.05124), in permille (1000 = at the bound). The gauge
 // holds the last non-trivial batch; the histogram the distribution.
 inline constexpr char kReproDepthRatio[] = "repro.depth_ratio";
 inline constexpr char kReproDepthRatioDist[] = "repro.depth_ratio.dist";

@@ -6,8 +6,8 @@
 //
 //   * base names are sanitized to [a-zA-Z_:][a-zA-Z0-9_:]* — dots (and
 //     anything else illegal) become underscores — and prefixed
-//     `pargreedy_`, so `shard.boundary_seeds{shard="2"}` exports as
-//     `pargreedy_shard_boundary_seeds{shard="2"}`;
+//     `pargreedy_`, so `engine.batches{engine="mis"}` exports as
+//     `pargreedy_engine_batches{engine="mis"}`;
 //   * counters and gauges map to their own types; log2 histograms map to
 //     a `summary` (quantile labels from the bucket percentiles + _sum +
 //     _count) — the repo's histograms are percentile-shaped, and a

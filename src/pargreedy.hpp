@@ -47,11 +47,6 @@
 #include "parallel/arch.hpp"
 #include "random/hash.hpp"
 #include "random/permutation.hpp"
-#include "shard/batch_router.hpp"
-#include "shard/ghost_policy.hpp"
-#include "shard/partitioner.hpp"
-#include "shard/sharded_engine.hpp"
-#include "shard/sharded_version.hpp"
 #include "specfor/speculative_for.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"

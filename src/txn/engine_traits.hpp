@@ -36,7 +36,7 @@
 namespace pargreedy {
 
 // The contract check for the unified engine surface: every engine the
-// transaction (and shard) layer binds to must model DynamicEngineApi
+// transaction layer binds to must model DynamicEngineApi
 // (dynamic/engine_api.hpp). Asserted here — next to the traits that do
 // the binding — so an engine drifting away from the shared API fails to
 // compile at the layer that depends on it.

@@ -55,8 +55,7 @@
 namespace pargreedy {
 
 /// Version sentinel meaning "the newest committed version" in the read
-/// APIs (Transaction::read, PublishedState::acquire,
-/// ShardedEngine::read).
+/// APIs (Transaction::read, PublishedState::acquire).
 inline constexpr uint64_t kLatestVersion = ~uint64_t{0};
 
 /// One committed solution, frozen at publish time. Immutable after

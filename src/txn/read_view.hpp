@@ -44,16 +44,15 @@
 namespace pargreedy {
 
 /// An immutable, self-contained view of one committed solution version
-/// (see file comment). Obtained from Transaction::read() or
-/// ShardedEngine::read(); default-constructed views are empty and
-/// queryable only via valid().
+/// (see file comment). Obtained from Transaction::read();
+/// default-constructed views are empty and queryable only via valid().
 template <typename Value>
 class ReadView {
  public:
   ReadView() = default;
 
-  /// Wraps a published version (the transaction/shard layers call this;
-  /// user code goes through their read()).
+  /// Wraps a published version (the transaction layer calls this; user
+  /// code goes through its read()).
   explicit ReadView(std::shared_ptr<const PublishedVersion<Value>> version)
       : version_(std::move(version)) {}
 

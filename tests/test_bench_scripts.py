@@ -221,28 +221,29 @@ class CompareBenchJsonTest(TempDirTest):
         self.write("cur", "broken", GOOD)
         self.assertEqual(self.run_main(), 1)
 
-    def test_sharded_batch_lands_without_baseline(self):
+    def test_new_bench_lands_without_baseline(self):
         # The exact scenario the lenient baseline exists for: the PR
-        # introduces bench/sharded_batch, so BENCH_sharded_batch.json is
-        # in the current artifacts but main's baseline has never
-        # produced one. The gate must pass without an exemption.
+        # introduces a new bench (here bench/fresh_batch), so
+        # BENCH_fresh_batch.json is in the current artifacts but main's
+        # baseline has never produced one. The gate must pass without an
+        # exemption.
         self.write("base", "dynamic_batch", GOOD)
         self.write("cur", "dynamic_batch", GOOD)
-        sharded = [table("mis: random", ["shards", "avg_update_ms",
-                                         "exchange_rounds",
-                                         "boundary_seeds",
-                                         "conflict_retries"],
-                         [["1", "0.22", "5", "0", "0"],
-                          ["8", "0.91", "14", "123", "2"]])]
-        self.write("cur", "sharded_batch", sharded)
+        fresh = [table("mis: random", ["workers", "avg_update_ms",
+                                       "repro_rounds",
+                                       "frontier_seeds",
+                                       "txn_retries"],
+                       [["1", "0.22", "5", "0", "0"],
+                        ["8", "0.91", "14", "123", "2"]])]
+        self.write("cur", "fresh_batch", fresh)
         self.assertEqual(self.run_main(), 0)
         # And once main has a baseline, the counters gate as usual.
-        self.write("base", "sharded_batch", sharded)
+        self.write("base", "fresh_batch", fresh)
         self.assertEqual(self.run_main(), 0)
-        worse = [table("mis: random", sharded[0]["headers"],
+        worse = [table("mis: random", fresh[0]["headers"],
                        [["1", "0.22", "5", "0", "0"],
                         ["8", "0.91", "44", "999", "2"]])]
-        self.write("cur", "sharded_batch", worse)
+        self.write("cur", "fresh_batch", worse)
         self.assertEqual(self.run_main(), 1)
 
     def test_unjoinable_rows_are_skipped_not_fatal(self):

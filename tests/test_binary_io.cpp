@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
@@ -124,6 +125,56 @@ TEST_F(BinaryIoTest, OutOfRangeEndpointThrows) {
   out.write(reinterpret_cast<const char*>(edge), 8);
   out.close();
   EXPECT_THROW(read_binary_graph(file("r.pgrb")), CheckFailure);
+}
+
+TEST_F(BinaryIoTest, OversizedHeaderThrowsBeforeAllocating) {
+  // A bare 20-byte header claiming m = 2^40 edges (8 TiB of table): the
+  // count is bounded by the bytes actually present, so this is a
+  // CheckFailure and never an attempt to allocate the table.
+  std::ofstream out(file("huge.pgrb"), std::ios::binary);
+  out.write("PGRB", 4);
+  const uint64_t n = 4;
+  const uint64_t m = uint64_t{1} << 40;
+  out.write(reinterpret_cast<const char*>(&n), 8);
+  out.write(reinterpret_cast<const char*>(&m), 8);
+  out.close();
+  ASSERT_EQ(fs::file_size(file("huge.pgrb")), 20u);
+  EXPECT_THROW(read_binary_graph(file("huge.pgrb")), CheckFailure);
+  // An edgeless graph costs no table bytes, but a vertex count past the
+  // 32-bit id range is malformed all the same.
+  std::ofstream wide(file("wide.pgrb"), std::ios::binary);
+  wide.write("PGRB", 4);
+  const uint64_t zero = 0;
+  wide.write(reinterpret_cast<const char*>(&m), 8);
+  wide.write(reinterpret_cast<const char*>(&zero), 8);
+  wide.close();
+  EXPECT_THROW(read_binary_graph(file("wide.pgrb")), CheckFailure);
+}
+
+TEST_F(BinaryIoTest, NonCanonicalEdgeTableThrows) {
+  // In-range edge tables that break the writer's canonical-order contract
+  // (every edge u < v, strictly increasing). Trusted as normalized they
+  // would build a CSR that validate_csr rejects.
+  const auto load = [&](const std::vector<Edge>& table) {
+    std::ofstream out(file("nc.pgrb"), std::ios::binary);
+    out.write("PGRB", 4);
+    const uint64_t n = 4;
+    const uint64_t m = table.size();
+    out.write(reinterpret_cast<const char*>(&n), 8);
+    out.write(reinterpret_cast<const char*>(&m), 8);
+    out.write(reinterpret_cast<const char*>(table.data()),
+              static_cast<std::streamsize>(m * sizeof(Edge)));
+    out.close();
+    return read_binary_graph(file("nc.pgrb"));
+  };
+  // A self-loop, a duplicate and a reversed pair in one file.
+  EXPECT_THROW(load({{0, 1}, {1, 1}, {1, 2}, {1, 2}, {3, 2}}), CheckFailure);
+  // Each violation alone, after a valid prefix.
+  EXPECT_THROW(load({{0, 1}, {2, 2}}), CheckFailure);  // self-loop
+  EXPECT_THROW(load({{0, 1}, {0, 1}}), CheckFailure);  // duplicate
+  EXPECT_THROW(load({{0, 1}, {3, 1}}), CheckFailure);  // reversed pair
+  EXPECT_THROW(load({{1, 2}, {0, 3}}), CheckFailure);  // out of order
+  EXPECT_TRUE(validate_csr(load({{0, 1}, {0, 3}, {1, 2}})).empty());
 }
 
 TEST_F(BinaryIoTest, LargeGraphRoundTrip) {

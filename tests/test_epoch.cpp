@@ -116,10 +116,11 @@ TEST(Epoch, GuardOutlivingItsManagerUnpinsSafely) {
 // ---- PublishedVersion checksums -------------------------------------
 
 TEST(PublishedVersionTest, ChecksumRoundTrips) {
-  const auto sol = bits({1, 0, 0, 1, 1});
-  PublishedVersion<uint8_t> v{3, 7, 2, sol,
-                              PublishedVersion<uint8_t>::compute_checksum(
-                                  3, sol)};
+  // The solution is moved in (no copy to keep alive beside it) and the
+  // checksum is sealed over the stored fields.
+  PublishedVersion<uint8_t> v{3, 7, 2, bits({1, 0, 0, 1, 1}), 0};
+  v.checksum = PublishedVersion<uint8_t>::compute_checksum(v.version,
+                                                           v.solution);
   EXPECT_TRUE(v.verify_checksum());
 }
 

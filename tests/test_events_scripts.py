@@ -22,25 +22,23 @@ def load(name):
 validate = load("validate_events_json")
 
 
-def event(kind, ts=10, batch_id=1, txn_id=0, shard_id=-1, arg0=0, arg1=0):
+def event(kind, ts=10, batch_id=1, txn_id=0, arg0=0, arg1=0):
     return {"ts": ts, "tid": 0, "kind": kind, "batch_id": batch_id,
-            "txn_id": txn_id, "shard_id": shard_id, "arg0": arg0,
-            "arg1": arg1}
+            "txn_id": txn_id, "arg0": arg0, "arg1": arg1}
 
 
 def doc(events, reason="on_demand", overwritten=0):
-    return {"schema": "pargreedy-events-v1", "reason": reason,
+    return {"schema": "pargreedy-events-v2", "reason": reason,
             "overwritten": overwritten, "events": events}
 
 
 GOOD = doc([
-    event("batch.begin", ts=0, arg0=64),
-    event("shard.exchange_round", ts=1, shard_id=0, arg0=1),
-    event("shard.exchange_round", ts=2, shard_id=1, arg0=1),
-    event("shard.exchange_round", ts=3, shard_id=2, arg0=1),
-    event("shard.exchange_round", ts=4, shard_id=3, arg0=1),
-    event("repro.round", ts=5, arg0=12, arg1=3),
-    event("batch.end", ts=6, arg0=2, arg1=3),
+    event("txn.begin", ts=0, batch_id=0, txn_id=3, arg0=3),
+    event("batch.begin", ts=1, txn_id=3, arg0=64),
+    event("repro.round", ts=2, txn_id=3, arg0=12, arg1=3),
+    event("repro.round", ts=3, txn_id=3, arg0=3, arg1=1),
+    event("batch.end", ts=4, txn_id=3, arg0=2, arg1=4),
+    event("txn.commit", ts=5, batch_id=0, txn_id=3, arg0=9),
 ])
 
 
@@ -77,6 +75,12 @@ class ValidateEventsJsonTest(EventsFileTest):
         self.assertEqual(
             self.run_main(self.write(dict(GOOD, schema="v0"))), 1)
 
+    def test_previous_schema_version_fails(self):
+        # A v1 dump (the pre-v2 record layout) must not pass as v2.
+        self.assertEqual(
+            self.run_main(
+                self.write(dict(GOOD, schema="pargreedy-events-v1"))), 1)
+
     def test_empty_events_fails(self):
         self.assertEqual(self.run_main(self.write(doc([]))), 1)
 
@@ -93,14 +97,6 @@ class ValidateEventsJsonTest(EventsFileTest):
         self.assertEqual(
             self.run_main(self.write(doc([event("x", ts=-1)]))), 1)
 
-    def test_shard_sentinel_minus_one_passes(self):
-        self.assertEqual(
-            self.run_main(self.write(doc([event("x", shard_id=-1)]))), 0)
-
-    def test_shard_below_sentinel_fails(self):
-        self.assertEqual(
-            self.run_main(self.write(doc([event("x", shard_id=-2)]))), 1)
-
     def test_boolean_field_fails(self):
         self.assertEqual(
             self.run_main(self.write(doc([event("x", arg0=True)]))), 1)
@@ -113,7 +109,8 @@ class ValidateEventsJsonTest(EventsFileTest):
         path = self.write(GOOD)
         self.assertEqual(
             self.run_main(path, "--require",
-                          "batch.begin,repro.round,batch.end"), 0)
+                          "batch.begin,repro.round,batch.end,"
+                          "txn.begin,txn.commit"), 0)
 
     def test_require_missing_kind_fails(self):
         self.assertEqual(
@@ -126,21 +123,6 @@ class ValidateEventsJsonTest(EventsFileTest):
                           self.write(other, "EVENTS_other.json"),
                           "--require", "repro.round"), 1)
 
-    def test_require_chain_satisfied_passes(self):
-        self.assertEqual(
-            self.run_main(self.write(GOOD), "--require-chain", "4"), 0)
-
-    def test_require_chain_too_wide_fails(self):
-        self.assertEqual(
-            self.run_main(self.write(GOOD), "--require-chain", "5"), 1)
-
-    def test_require_chain_ignores_unbatched_events(self):
-        # shard context without a batch id is not a correlated chain.
-        loose = doc([event("x", batch_id=0, shard_id=s, ts=s)
-                     for s in range(4)])
-        self.assertEqual(
-            self.run_main(self.write(loose), "--require-chain", "2"), 1)
-
     def test_one_bad_file_fails_the_set(self):
         self.assertEqual(
             self.run_main(self.write(GOOD),
@@ -152,10 +134,9 @@ class ValidateEventsJsonTest(EventsFileTest):
     def test_require_without_argument_is_usage_error(self):
         self.assertEqual(self.run_main(self.write(GOOD), "--require"), 2)
 
-    def test_require_chain_non_integer_is_usage_error(self):
+    def test_unknown_option_is_usage_error(self):
         self.assertEqual(
-            self.run_main(self.write(GOOD), "--require-chain", "wide"), 2)
-
+            self.run_main(self.write(GOOD), "--require-all", "4"), 2)
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)

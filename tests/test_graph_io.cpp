@@ -3,6 +3,7 @@
 // round-trips and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -123,6 +124,17 @@ TEST_F(IoTest, TruncatedAdjacencyThrows) {
   // Claims 5 vertices / 8 arcs but provides too few numbers.
   std::ofstream(file("trunc.adj")) << "AdjacencyGraph\n5\n8\n0\n1\n2\n";
   EXPECT_THROW(read_adjacency_graph(file("trunc.adj")), CheckFailure);
+}
+
+TEST_F(IoTest, OversizedAdjacencyHeaderThrowsBeforeAllocating) {
+  // Header counts of 2^40 in files of a few bytes: they are bounded by the
+  // bytes left, so each is a CheckFailure and never an attempt to
+  // allocate the offsets (8 TiB) or targets (4 TiB) they claim.
+  const uint64_t huge = uint64_t{1} << 40;
+  std::ofstream(file("arcs.adj")) << "AdjacencyGraph\n4\n" << huge << "\n0\n";
+  EXPECT_THROW(read_adjacency_graph(file("arcs.adj")), CheckFailure);
+  std::ofstream(file("n.adj")) << "AdjacencyGraph\n" << huge << "\n0\n0\n";
+  EXPECT_THROW(read_adjacency_graph(file("n.adj")), CheckFailure);
 }
 
 TEST_F(IoTest, LargeGraphRoundTrip) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "dynamic/batch_stats.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
@@ -55,7 +56,9 @@ TEST(ObsHistogram, BucketUpperBoundaries) {
   for (uint64_t v : {0ull, 1ull, 2ull, 3ull, 5ull, 100ull, 4096ull}) {
     const int b = Histogram::bucket_index(v);
     EXPECT_LE(v, Histogram::bucket_upper(b)) << v;
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(b - 1)) << v;
+    }
   }
 }
 
@@ -325,13 +328,12 @@ TEST(ObsEvents, CorrelationScopesNestAndRestore) {
     const uint64_t outer_id = current_batch_id();
     EXPECT_GT(outer_id, 0u);
     {
-      // Inner scope inherits: this is what keeps one sharded UpdateBatch
-      // a single batch_id across the per-shard engine applies.
+      // Inner scope inherits: a caller's batch scope keeps one
+      // UpdateBatch a single batch_id across the engine apply it wraps.
       BatchScope inner;
       EXPECT_EQ(current_batch_id(), outer_id);
       TxnScope txn(42);
-      ShardScope shard(3);
-      rec.record(EventKind::kShardApply, 7, 0);
+      rec.record(EventKind::kReproRound, 7, 0);
     }
     rec.record(EventKind::kBatchEnd, 0, 0);
   }
@@ -340,12 +342,10 @@ TEST(ObsEvents, CorrelationScopesNestAndRestore) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_GT(events[0].batch_id, 0u);
   EXPECT_EQ(events[0].txn_id, 42u);
-  EXPECT_EQ(events[0].shard_id, 3u);
-  // Scopes restored: the second record is back outside txn/shard context
-  // but still inside the batch.
+  // Scopes restored: the second record is back outside txn context but
+  // still inside the batch.
   EXPECT_EQ(events[1].batch_id, events[0].batch_id);
   EXPECT_EQ(events[1].txn_id, 0u);
-  EXPECT_EQ(events[1].shard_id, kNoShard);
   rec.clear();
 }
 
@@ -354,23 +354,20 @@ TEST(ObsEvents, JsonShape) {
   static EventRecorder rec;
   rec.clear();
   {
-    ShardScope shard(2);
-    rec.record(EventKind::kExchangeRound, 1, 64);
+    TxnScope txn(5);
+    rec.record(EventKind::kReproRound, 1, 64);
   }
   rec.record(EventKind::kTxnAbort, 1, 0);
   std::ostringstream out;
   rec.write_json(out, "unit_test");
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema\": \"pargreedy-events-v1\""),
+  EXPECT_NE(json.find("\"schema\": \"pargreedy-events-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"overwritten\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"shard.exchange_round\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"shard_id\": 2"), std::string::npos);
-  // The no-shard sentinel is emitted as -1, never as 2^32-1.
-  EXPECT_NE(json.find("\"shard_id\": -1"), std::string::npos);
-  EXPECT_EQ(json.find(std::to_string(kNoShard)), std::string::npos);
+  EXPECT_NE(json.find("\"kind\": \"repro.round\""), std::string::npos);
+  EXPECT_NE(json.find("\"txn_id\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"kind\": \"txn.abort\""), std::string::npos);
   rec.clear();
 }
 
@@ -399,6 +396,35 @@ TEST(ObsEvents, MergedStreamIsDeterministicAcrossWorkers) {
   EXPECT_EQ(run(2), at1);
   EXPECT_EQ(run(4), at1);
   EventRecorder::global().clear();
+}
+
+TEST(ObsHealth, DepthRatioIsPermilleOfLogN) {
+  set_enabled(true);
+  Gauge& ratio = MetricsRegistry::global().gauge(kReproDepthRatio);
+  // The gauge scores a batch's rounds against the Theta(log n) depth of
+  // arXiv:1707.05124: rounds * 1000 / bit_width(n), so 10 rounds at
+  // n = 200k (bit_width 18) read 555 permille.
+  BatchStats stats;
+  stats.rounds = 10;
+  obs_accumulate_batch(stats, nullptr, 200'000);
+  EXPECT_EQ(ratio.value(), 555);
+  stats.rounds = 11;
+  obs_accumulate_batch(stats, nullptr, 1024);  // bit_width 11: at the bound
+  EXPECT_EQ(ratio.value(), 1000);
+  // A batch that repropagated nothing leaves the last reading in place.
+  stats.rounds = 0;
+  obs_accumulate_batch(stats, nullptr, 1024);
+  EXPECT_EQ(ratio.value(), 1000);
+
+  // End to end: an engine batch reports its own round count the same way.
+  DynamicMis dm(EngineOptions::seeded(
+      CsrGraph::from_edges(path_graph(4096)), 5));
+  UpdateBatch batch;
+  batch.insert_edge(0, 4095).insert_edge(100, 3000).delete_edge(10, 11);
+  const BatchStats applied = dm.apply_batch(batch);
+  ASSERT_GT(applied.rounds, 0u);
+  const uint64_t log_n = 13;  // bit_width(4096)
+  EXPECT_EQ(ratio.value(), static_cast<int64_t>(applied.rounds * 1000 / log_n));
 }
 
 TEST(ObsPrometheus, ExpositionShape) {

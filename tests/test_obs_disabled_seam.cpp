@@ -28,7 +28,6 @@ void emit_disabled_seam_probes() {
   PG_OBS_EVENT_DUMP("test_seam");
   PG_OBS_BATCH_SCOPE(seam_batch);
   PG_OBS_TXN_SCOPE(seam_txn, 9);
-  PG_OBS_SHARD_SCOPE(seam_shard, 3);
   static_assert(PG_OBS_BATCH_ID() == 0,
                 "PG_OBS_BATCH_ID() must be the constant 0 when the obs "
                 "layer is compiled out");
