@@ -59,26 +59,26 @@ void parallel_for_static(int64_t begin, int64_t end, Fn&& fn,
 /// Splits [0, n) into at most num_workers() contiguous blocks and runs
 /// fn(block_id, block_begin, block_end) for each in parallel. The block
 /// decomposition depends only on n and the worker count, never on timing.
+/// Below the grain the same blocks run inline, without forking a team.
 template <typename Fn>
 void parallel_blocks(int64_t n, Fn&& fn) {
   if (n <= 0) return;
   const int64_t workers = in_parallel() ? 1 : num_workers();
   const int64_t blocks = workers < n ? workers : n;
   const int64_t chunk = (n + blocks - 1) / blocks;
+  const auto run_block = [&](int64_t b) {
+    const int64_t lo = b * chunk;
+    const int64_t hi = lo + chunk < n ? lo + chunk : n;
+    if (lo < hi) fn(b, lo, hi);
+  };
+  if (n < kDefaultGrain) {
+    for (int64_t b = 0; b < blocks; ++b) run_block(b);
+    return;
+  }
 #if defined(_OPENMP)
 #pragma omp parallel for schedule(static, 1)
-  for (int64_t b = 0; b < blocks; ++b) {
-    const int64_t lo = b * chunk;
-    const int64_t hi = lo + chunk < n ? lo + chunk : n;
-    if (lo < hi) fn(b, lo, hi);
-  }
-#else
-  for (int64_t b = 0; b < blocks; ++b) {
-    const int64_t lo = b * chunk;
-    const int64_t hi = lo + chunk < n ? lo + chunk : n;
-    if (lo < hi) fn(b, lo, hi);
-  }
 #endif
+  for (int64_t b = 0; b < blocks; ++b) run_block(b);
 }
 
 /// Number of blocks parallel_blocks(n, ...) will produce.

@@ -8,6 +8,7 @@
 // count, window size, and repetition.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "extensions/spanning_forest.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
+#include "graph/graph_ops.hpp"
 #include "parallel/arch.hpp"
 
 namespace pargreedy {
@@ -145,6 +147,14 @@ TEST(Determinism, WholePipelineIsAPureFunctionOfSeeds) {
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
 }
 
+/// A detailed profile's per-round rows as comparable tuples.
+std::vector<std::array<uint64_t, 3>> rows(const RunProfile& p) {
+  std::vector<std::array<uint64_t, 3>> out;
+  for (const RoundProfile& r : p.per_round)
+    out.push_back({r.active_items, r.decided, r.work_edges});
+  return out;
+}
+
 TEST(Determinism, ProfilesOfWindowedAlgorithmsAreScheduleIndependent) {
   // Not just the answers: the *round counts* of the windowed algorithms are
   // pure functions of (graph, order, window) — this is what makes the
@@ -166,6 +176,30 @@ TEST(Determinism, ProfilesOfWindowedAlgorithmsAreScheduleIndependent) {
     }
     EXPECT_EQ(mr, mis_rounds) << "workers=" << workers;
     EXPECT_EQ(er, mm_rounds) << "workers=" << workers;
+  }
+
+  // And every round's row: window size, decisions and edge inspections.
+  // The larger windows cross the 256-item grain, so the phases fork.
+  const CsrGraph relabeled = relabel_by_rank(f.g, f.vorder);
+  const VertexOrder ident = VertexOrder::identity(f.g.num_vertices());
+  const ProfileLevel level = ProfileLevel::kDetailed;
+  using Rows = std::vector<std::array<uint64_t, 3>>;
+  std::vector<Rows> reference;
+  for (int workers : {1, 2, 3, 4, 8}) {
+    ScopedNumWorkers guard(workers);
+    std::vector<Rows> got;
+    for (uint64_t window : {uint64_t{200}, uint64_t{1'000}}) {
+      got.push_back(rows(mis_prefix(f.g, f.vorder, window, level).profile));
+      got.push_back(rows(mis_prefix(relabeled, ident, window, level).profile));
+    }
+    for (uint64_t window : {uint64_t{200}, uint64_t{4'000}})
+      got.push_back(rows(mm_prefix(f.g, f.eorder, window, level).profile));
+    if (reference.empty()) reference = got;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_FALSE(got[i].empty()) << "run " << i;
+      EXPECT_EQ(got[i], reference[i])
+          << "run " << i << " at " << workers << " workers";
+    }
   }
 }
 

@@ -209,6 +209,22 @@ TEST(MisParallelEdgeCases, EmptyAndEdgeless) {
   EXPECT_EQ(mis_prefix(edgeless, order, 7).size(), 30u);
 }
 
+TEST(MisParallelEdgeCases, HugeWindowOnEmptyAndEdgelessIsClamped) {
+  // The window clamps to [1, max(n, 1)], so an unbounded request never
+  // sizes anything by the request itself.
+  const CsrGraph empty = CsrGraph::from_edges(EdgeList(0));
+  const MisResult none = mis_prefix(empty, VertexOrder::identity(0),
+                                    UINT64_MAX, ProfileLevel::kCounters);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.profile.rounds, 0u);
+
+  const CsrGraph edgeless = CsrGraph::from_edges(EdgeList(30));
+  const MisResult all = mis_prefix(edgeless, VertexOrder::random(30, 1),
+                                   UINT64_MAX, ProfileLevel::kCounters);
+  EXPECT_EQ(all.size(), 30u);
+  EXPECT_EQ(all.profile.rounds, 1u);
+}
+
 TEST(MisParallelEdgeCases, SingleVertexAndSingleEdge) {
   const CsrGraph one = CsrGraph::from_edges(EdgeList(1));
   EXPECT_EQ(mis_rootset(one, VertexOrder::identity(1)).size(), 1u);

@@ -192,6 +192,23 @@ TEST(MmParallelEdgeCases, EmptyAndEdgeless) {
   EXPECT_EQ(mm_rootset(edgeless, EdgeOrder::identity(0)).size(), 0u);
 }
 
+TEST(MmParallelEdgeCases, HugeWindowOnEmptyAndEdgelessIsClamped) {
+  // The window clamps to [1, max(m, 1)], so an unbounded request never
+  // sizes anything by the request itself.
+  const CsrGraph empty = CsrGraph::from_edges(EdgeList(0));
+  const MatchResult none = mm_prefix(empty, EdgeOrder::identity(0),
+                                     UINT64_MAX, ProfileLevel::kCounters);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.profile.rounds, 0u);
+
+  const CsrGraph edgeless = CsrGraph::from_edges(EdgeList(9));
+  const MatchResult unmatched = mm_prefix(edgeless, EdgeOrder::identity(0),
+                                          UINT64_MAX, ProfileLevel::kCounters);
+  EXPECT_EQ(unmatched.size(), 0u);
+  EXPECT_EQ(unmatched.matched_with, std::vector<VertexId>(9, kInvalidVertex));
+  EXPECT_EQ(unmatched.profile.rounds, 0u);
+}
+
 TEST(MmParallelEdgeCases, TriangleOnlyOneEdgeMatches) {
   EdgeList el(3);
   el.add(0, 1);

@@ -6,9 +6,12 @@
 // exercises the parallel code paths and their determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "parallel/arch.hpp"
@@ -345,6 +348,84 @@ TEST(PackIndex, SequentialAndParallelAgree) {
   }
   EXPECT_EQ(serial, parallel);
 }
+
+
+// --------------------------------------------------------- grain boundary ---
+// Every blocked primitive at sizes straddling the 256-item grain (and its
+// 2x pack/scan cutoff), at widths 1 and 4, against a serial reference.
+
+class GrainBoundary
+    : public ::testing::TestWithParam<std::tuple<int64_t, int>> {};
+
+TEST_P(GrainBoundary, PrimitivesMatchSerialReference) {
+  const auto [n, width] = GetParam();
+  ScopedNumWorkers guard(width);
+  std::vector<int64_t> vals(static_cast<std::size_t>(n));
+  for (int64_t i = 0; i < n; ++i)
+    vals[static_cast<std::size_t>(i)] =
+        static_cast<int64_t>(hash64(21, static_cast<uint64_t>(i)) % 1'000);
+  const auto keep = [&](int64_t i) {
+    return vals[static_cast<std::size_t>(i)] % 3 == 0;
+  };
+
+  // parallel_blocks: the documented decomposition, each block once, and no
+  // team forked below the grain.
+  const int64_t blocks = parallel_block_count(n);
+  const int64_t chunk = (n + blocks - 1) / blocks;
+  std::vector<std::atomic<int64_t>> block_lo(static_cast<std::size_t>(blocks));
+  std::vector<std::atomic<int64_t>> block_hi(static_cast<std::size_t>(blocks));
+  std::atomic<int> calls{0};
+  std::atomic<bool> forked{false};
+  parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
+    block_lo[static_cast<std::size_t>(b)].store(lo);
+    block_hi[static_cast<std::size_t>(b)].store(hi);
+    calls.fetch_add(1);
+    if (in_parallel()) forked.store(true);
+  });
+  EXPECT_EQ(calls.load(), blocks);
+  for (int64_t b = 0; b < blocks; ++b) {
+    EXPECT_EQ(block_lo[static_cast<std::size_t>(b)].load(), b * chunk);
+    EXPECT_EQ(block_hi[static_cast<std::size_t>(b)].load(),
+              std::min(n, (b + 1) * chunk));
+  }
+  if (n < kDefaultGrain) {
+    EXPECT_FALSE(forked.load());
+  }
+
+  std::vector<int64_t> packed_ref;
+  std::vector<uint32_t> index_ref;
+  std::vector<int64_t> scan_ref(static_cast<std::size_t>(n));
+  int64_t sum_ref = 0;
+  int64_t max_ref = -1;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t x = vals[static_cast<std::size_t>(i)];
+    if (keep(i)) {
+      packed_ref.push_back(x);
+      index_ref.push_back(static_cast<uint32_t>(i));
+    }
+    scan_ref[static_cast<std::size_t>(i)] = sum_ref;
+    sum_ref += x;
+    max_ref = std::max(max_ref, x);
+  }
+
+  EXPECT_EQ(pack(std::span<const int64_t>(vals), keep), packed_ref);
+  EXPECT_EQ(pack_index<uint32_t>(n, keep), index_ref);
+  const auto at = [&](int64_t i) { return vals[static_cast<std::size_t>(i)]; };
+  const auto plus = [](int64_t a, int64_t b) { return a + b; };
+  EXPECT_EQ(parallel_reduce<int64_t>(0, n, 0, at, plus), sum_ref);
+  EXPECT_EQ(reduce_max<int64_t>(0, n, -1, at), max_ref);
+  std::vector<int64_t> scanned(static_cast<std::size_t>(n));
+  EXPECT_EQ(exclusive_scan(std::span<const int64_t>(vals),
+                           std::span<int64_t>(scanned)),
+            sum_ref);
+  EXPECT_EQ(scanned, scan_ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndWidths, GrainBoundary,
+    ::testing::Combine(::testing::Values<int64_t>(1, 2, 7, 255, 256, 257, 511,
+                                                  512, 513, 2'000'000),
+                       ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace pargreedy
