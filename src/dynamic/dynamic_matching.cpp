@@ -1,11 +1,13 @@
 #include "dynamic/dynamic_matching.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "core/matching/matching.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/reduce.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -16,12 +18,21 @@ struct MmReproEngine {
 
   [[nodiscard]] bool decide(EdgeSlot s) const { return dm.decide(s); }
   [[nodiscard]] bool current(EdgeSlot s) const { return dm.in_m_[s] != 0; }
-  void commit(EdgeSlot s, bool value) const { dm.in_m_[s] = value ? 1 : 0; }
+  void commit(EdgeSlot s, bool value) const { dm.set_in_m(s, value); }
   void append_successors(EdgeSlot s, std::vector<EdgeSlot>& out) const {
+    // Reads the post-commit state. A slot that left frees every later
+    // incident slot, so all of them are re-examined. A slot that joined
+    // blocks them: a later one that is OUT is already consistent, so only
+    // the later ones still IN are — and there are none at an endpoint
+    // whose only IN slot is s.
+    const bool joined = dm.in_m_[s] != 0;
     const Edge e = dm.graph_.slot_edge(s);
     for (VertexId w : {e.u, e.v}) {
+      if (joined && dm.in_cnt_[w] == 1) continue;
       dm.graph_.for_incident(w, [&](VertexId x, EdgeSlot t) {
-        if (dm.active_[x] && t != s && dm.earlier(s, t)) out.push_back(t);
+        if (t != s && (joined ? dm.in_m_[t] != 0 : dm.active_[x] != 0) &&
+            dm.earlier(s, t))
+          out.push_back(t);
       });
     }
   }
@@ -49,6 +60,7 @@ DynamicMatching::DynamicMatching(EngineOptions options)
   in_m_ = mm_rootset(base, edge_order_for(base)).in_matching;
   in_m_.resize(base.num_edges(), 0);  // stays sized to slot_bound
   graph_ = OverlayGraph(std::move(base));
+  rebuild_index();
 }
 
 EdgeOrder DynamicMatching::edge_order_for(const CsrGraph& g) const {
@@ -70,16 +82,55 @@ bool DynamicMatching::earlier(EdgeSlot s, EdgeSlot t) const {
 
 bool DynamicMatching::decide(EdgeSlot s) const {
   if (!slot_in_graph(s)) return false;
-  // s joins iff no earlier-ranked incident edge is in the matching.
+  // s joins iff no earlier-ranked incident edge is in the matching. A set
+  // bit implies both endpoints active, so the index's IN slots other than
+  // s are exactly the candidates.
   const Edge e = graph_.slot_edge(s);
+  const uint32_t self = in_m_[s];
   for (VertexId w : {e.u, e.v}) {
-    const bool clear = graph_.for_incident_while(w, [&](VertexId x,
-                                                        EdgeSlot t) {
-      return !(active_[x] && t != s && earlier(t, s) && in_m_[t]);
+    const uint32_t others = in_cnt_[w] - self;
+    if (others == 0) continue;
+    if (others == 1) {
+      if (earlier(in_xor_[w] ^ (self != 0 ? s : 0), s)) return false;
+      continue;
+    }
+    // Two or more other IN slots at w: only mid-round, so scan.
+    const bool clear = graph_.for_incident_while(w, [&](VertexId, EdgeSlot t) {
+      return !(t != s && in_m_[t] && earlier(t, s));
     });
     if (!clear) return false;
   }
   return true;
+}
+
+void DynamicMatching::set_in_m(EdgeSlot s, bool value) {
+  PG_DCHECK((in_m_[s] != 0) != value);
+  in_m_[s] = value ? 1 : 0;
+  const uint32_t delta = value ? 1u : ~0u;  // +1 or -1, mod 2^32
+  const Edge e = graph_.slot_edge(s);
+  for (VertexId w : {e.u, e.v}) {
+    std::atomic_ref<uint32_t>(in_cnt_[w]).fetch_add(
+        delta, std::memory_order_relaxed);
+    std::atomic_ref<EdgeSlot>(in_xor_[w]).fetch_xor(
+        s, std::memory_order_relaxed);
+  }
+}
+
+void DynamicMatching::rebuild_index() {
+  in_cnt_.assign(num_vertices(), 0);
+  in_xor_.assign(num_vertices(), 0);
+  parallel_for(0, static_cast<int64_t>(num_vertices()), [&](int64_t v) {
+    uint32_t count = 0;
+    EdgeSlot acc = 0;
+    graph_.for_incident(static_cast<VertexId>(v), [&](VertexId, EdgeSlot t) {
+      if (in_m_[t]) {
+        ++count;
+        acc ^= t;
+      }
+    });
+    in_cnt_[static_cast<std::size_t>(v)] = count;
+    in_xor_[static_cast<std::size_t>(v)] = acc;
+  });
 }
 
 void DynamicMatching::refresh_slot(EdgeSlot s) {
@@ -110,15 +161,12 @@ bool DynamicMatching::matched(VertexId u, VertexId v) const {
 }
 
 VertexId DynamicMatching::matched_with(VertexId v) const {
-  VertexId partner = kInvalidVertex;
-  graph_.for_incident_while(v, [&](VertexId w, EdgeSlot s) {
-    if (in_m_[s]) {
-      partner = w;
-      return false;
-    }
-    return true;
-  });
-  return partner;
+  // Between writer calls the matching is at its fixpoint: at most one IN
+  // slot per vertex, and the XOR is that slot.
+  PG_DCHECK(in_cnt_[v] <= 1);
+  if (in_cnt_[v] == 0) return kInvalidVertex;
+  const Edge e = graph_.slot_edge(in_xor_[v]);
+  return e.u == v ? e.v : e.u;
 }
 
 std::vector<VertexId> DynamicMatching::solution() const {
@@ -139,10 +187,11 @@ std::vector<Edge> DynamicMatching::matched_edges() const {
 }
 
 uint64_t DynamicMatching::size() const {
-  uint64_t count = 0;
-  for (EdgeSlot s = 0; s < graph_.slot_bound(); ++s)
-    if (in_m_[s]) ++count;
-  return count;
+  // Every matched edge is counted once at each endpoint.
+  const uint64_t ends = reduce_add<uint64_t>(
+      0, static_cast<int64_t>(num_vertices()),
+      [&](int64_t v) { return in_cnt_[static_cast<std::size_t>(v)]; });
+  return ends / 2;
 }
 
 BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
@@ -164,7 +213,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   const auto drop_slot = [&](EdgeSlot s) {
     if (!in_m_[s]) return;
     if (txn_) txn_->engine.record_decision(s, true);
-    in_m_[s] = 0;
+    set_in_m(s, false);
     ++stats.changed;  // an eager flip, counted like repropagation flips
     const Edge e = graph_.slot_edge(s);
     for (VertexId w : {e.u, e.v}) {
@@ -315,7 +364,8 @@ void DynamicMatching::txn_rollback(const TxnMark& mark) {
     const EngineUndoRecord& r = ej[i];
     switch (r.kind) {
       case EngineUndoRecord::Kind::kDecision:
-        in_m_[r.item] = r.flag;
+        // Newest-first replay: the stored bit is the flip's new value.
+        set_in_m(r.item, r.flag != 0);
         break;
       case EngineUndoRecord::Kind::kActive:
         active_[r.item] = r.flag;
@@ -364,6 +414,7 @@ void DynamicMatching::compact_impl() {
     PG_CHECK_MSG(s != kInvalidSlot, "matched edge lost in compaction");
     in_m_[s] = 1;
   }
+  rebuild_index();  // slot ids changed
 }
 
 CsrGraph DynamicMatching::active_subgraph() const {

@@ -38,6 +38,27 @@
 // OverlayGraph slot; compaction reassigns slots, so apply_batch re-keys
 // the state through the surviving matched pairs when it compacts.
 //
+// Matched-slot index: per vertex w, in_cnt_[w] counts the incident slots
+// whose membership bit is set and in_xor_[w] is the XOR of their slot
+// ids, so when the count is 1 the XOR *is* w's matched slot. Every
+// membership write goes through set_in_m(), which keeps both exact
+// (relaxed atomic add/xor: the repropagation commit flips slots sharing
+// an endpoint in parallel, and the updates commute, so the values are the
+// same at any worker count). A set bit implies a live slot with both
+// endpoints active (structural removals clear it eagerly), so the index
+// replaces incidence scans:
+//   decide(s)           per endpoint, the count excluding s is 0 (clear),
+//                       1 (one earlier() test against the XOR) or >= 2 —
+//                       possible only mid-round, and the one case that
+//                       still scans the incidence list;
+//   append_successors   a slot that joined re-seeds only the later
+//                       incident slots still IN (an OUT one is blocked by
+//                       it, hence consistent) — nothing when it is its
+//                       endpoint's only IN slot;
+//   matched_with, solution, size
+//                       read at a fixpoint (count <= 1): O(1) per vertex.
+// The index costs 12 bytes per vertex.
+//
 // Reweights: a batch edge reweight changes the slot's weight in place (no
 // slot churn) and refreshes only that slot's cached key; if the key moved,
 // the slot — plus, when it was matched, its incident edges (the cone's
@@ -89,7 +110,8 @@ class DynamicMatching {
   /// True iff live edge {u, v} is currently in the matching.
   [[nodiscard]] bool matched(VertexId u, VertexId v) const;
 
-  /// v's partner in the matching, or kInvalidVertex when unmatched.
+  /// v's partner in the matching, or kInvalidVertex when unmatched. O(1)
+  /// (read from the matched-slot index).
   [[nodiscard]] VertexId matched_with(VertexId v) const;
 
   /// True iff v is currently part of the graph.
@@ -105,7 +127,7 @@ class DynamicMatching {
   /// The matched edges, canonical and sorted.
   [[nodiscard]] std::vector<Edge> matched_edges() const;
 
-  /// Number of matched edges.
+  /// Number of matched edges. O(n) over the matched-slot index.
   [[nodiscard]] uint64_t size() const;
 
   /// Applies a batch (see UpdateBatch for intra-batch semantics) and
@@ -197,6 +219,15 @@ class DynamicMatching {
 
   [[nodiscard]] bool decide(EdgeSlot s) const;
 
+  /// The one write path of the membership bit: stores in_m_[s] = value
+  /// (which must differ from the stored bit) and updates both endpoints'
+  /// in_cnt_/in_xor_ with relaxed atomics, so concurrent calls on
+  /// distinct slots are safe and order-independent.
+  void set_in_m(EdgeSlot s, bool value);
+
+  /// Rebuilds in_cnt_/in_xor_ from in_m_ over the current slots.
+  void rebuild_index();
+
   /// Grows the per-slot state arrays to cover slot s, computing fresh
   /// priority keys.
   void cover_slot(EdgeSlot s) PARGREEDY_REQUIRES(writer_role_);
@@ -215,11 +246,13 @@ class DynamicMatching {
   OverlayGraph graph_;
   PrioritySource source_;
   std::vector<uint8_t> active_;
-  std::vector<uint8_t> in_m_;    // per slot: edge in matching
-  std::vector<uint64_t> pri_;    // per slot: priority key, primary word
-  std::vector<uint64_t> pri2_;   // per slot: secondary word; empty (and
-                                 // skipped in earlier()) for single-word
-                                 // policies
+  std::vector<uint8_t> in_m_;     // per slot: edge in matching
+  std::vector<uint32_t> in_cnt_;  // per vertex: incident slots in_m_ set
+  std::vector<EdgeSlot> in_xor_;  // per vertex: XOR of those slot ids
+  std::vector<uint64_t> pri_;     // per slot: priority key, primary word
+  std::vector<uint64_t> pri2_;    // per slot: secondary word; empty (and
+                                  // skipped in earlier()) for single-word
+                                  // policies
   double compact_threshold_ = 0.5;
   uint64_t epoch_ = 0;             // bumped per apply_batch/compact;
                                    // restored by txn_rollback

@@ -26,7 +26,8 @@
 // rounds.
 //
 // The decide/commit split makes every round race-free: decides only read
-// engine state, commits write disjoint per-item slots, and the next
+// engine state, commits write disjoint per-item slots (plus commutative
+// relaxed-atomic updates to shared per-vertex summaries), and the next
 // frontier is deduplicated by value — so the fixpoint (and every
 // intermediate round) is deterministic at any worker count, on both
 // backends.
@@ -60,10 +61,30 @@ void sort_unique(std::vector<Item>& items) {
 ///   bool current(Item) const      the stored decision;
 ///   void commit(Item, bool)       store a flipped decision (called only
 ///                                 for items whose decision changed; must
-///                                 touch only state keyed by that item);
+///                                 touch only state keyed by that item,
+///                                 except for order-independent
+///                                 relaxed-atomic updates to per-vertex
+///                                 state — e.g. DynamicMatching's
+///                                 matched-slot counts and XORs — whose
+///                                 final values are the same in any
+///                                 commit order);
 ///   void append_successors(Item, std::vector<Item>&) const
 ///                                 append the later-ranked items whose
-///                                 decision depends on this one.
+///                                 decision depends on this one. Runs
+///                                 after the round's commits, so it reads
+///                                 the post-commit state, and it may skip
+///                                 a successor whose stored decision is
+///                                 already consistent with that state.
+///
+/// Why skipping is safe: at the start of every round, every item outside
+/// the frontier is consistent (its stored decision equals decide()). A
+/// commit changes only the flipped items, so afterwards the only items
+/// that can be inconsistent are the successors of flipped items (a
+/// frontier item whose inputs did not flip was decided on unchanged
+/// state). A successor skipped because it is consistent would not have
+/// flipped had it been decided, so the invariant holds for the next
+/// frontier, and every round commits exactly the flips it would commit
+/// without the skip; only a final round that flips nothing can vanish.
 ///
 /// `limit` bounds the number of rounds (a correctness guard: the fixpoint
 /// is reached after at most longest-priority-path rounds, so hitting the

@@ -5,8 +5,9 @@
 // knows how to extract a *reverse solution delta* from the engine's undo
 // journal: the solution entries that changed since a journal watermark,
 // valued as they were at that watermark. Commits push these deltas into
-// the VersionRing; in-flight reads use them to reconstruct the last
-// committed solution without blocking on (or aborting) the transaction.
+// the VersionRing, which numbers versions and backs the property tests;
+// reads are served from the published full copies instead
+// (txn/published_state.hpp).
 //
 //   MisTxnTraits       solution is the in_set bitmap; every membership
 //                      mutation is a journaled decision flip keyed by

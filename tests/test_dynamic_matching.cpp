@@ -1,6 +1,7 @@
 // DynamicMatching behavior tests: batch semantics, hash-stable edge
-// priorities, activity toggles, compaction re-keying, and exact agreement
-// with the sequential greedy matching oracle after every batch.
+// priorities, activity toggles, compaction re-keying, the per-vertex
+// matched-slot index, and exact agreement with the sequential greedy
+// matching oracle after every batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,12 +9,14 @@
 
 #include "core/matching/matching.hpp"
 #include "core/matching/verify.hpp"
+#include "core/priority/priority_source.hpp"
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
 #include "parallel/arch.hpp"
 #include "support/check.hpp"
+#include "txn/transaction.hpp"
 
 namespace pargreedy {
 namespace {
@@ -25,6 +28,50 @@ void expect_matches_oracle(const DynamicMatching& dm) {
   const CsrGraph h = dm.active_subgraph();
   const MatchResult ref = mm_sequential(h, dm.edge_order_for(h));
   ASSERT_EQ(dm.solution(), ref.matched_with);
+}
+
+/// The index-backed queries against a plain incidence scan: every
+/// vertex's matched_with() is the one neighbor w with matched(v, w) (or
+/// none), and size() counts each matched edge once.
+void expect_index_matches_scan(const DynamicMatching& dm) {
+  uint64_t matched_vertices = 0;
+  for (VertexId v = 0; v < dm.num_vertices(); ++v) {
+    VertexId partner = kInvalidVertex;
+    uint64_t partners = 0;
+    dm.graph().for_incident(v, [&](VertexId w, EdgeSlot) {
+      if (dm.matched(v, w)) {
+        partner = w;
+        ++partners;
+      }
+    });
+    ASSERT_LE(partners, 1u) << "vertex " << v;
+    ASSERT_EQ(dm.matched_with(v), partner) << "vertex " << v;
+    matched_vertices += partners;
+  }
+  ASSERT_EQ(dm.size(), matched_vertices / 2);
+  ASSERT_EQ(dm.matched_edges().size(), dm.size());
+}
+
+void expect_exact(const DynamicMatching& dm) {
+  expect_index_matches_scan(dm);
+  expect_matches_oracle(dm);
+}
+
+/// A weighted rMat graph: skewed degrees give hub vertices, and coarse
+/// weight levels make edge reweights move priorities under
+/// weight_hash_tiebreak.
+CsrGraph weighted_rmat(unsigned scale, uint64_t m, uint64_t seed) {
+  CsrGraph g = CsrGraph::from_edges(rmat_graph(scale, m, seed));
+  g.set_edge_weights(quantized_weights(g.num_edges(), seed + 1, 8));
+  return g;
+}
+
+UpdateBatch rmat_batch(const DynamicMatching& dm, uint64_t ops,
+                       uint64_t seed) {
+  return UpdateBatch::random_weighted(
+      dm.num_vertices(), dm.graph().live_edge_list().edges(),
+      /*inserts=*/ops, /*deletes=*/ops, /*reweights=*/ops / 2,
+      /*toggles=*/ops / 8, /*levels=*/8, seed);
 }
 
 TEST(DynamicMatching, InitialSolutionIsTheGreedyMatching) {
@@ -156,19 +203,104 @@ TEST(DynamicMatching, ManualCompactionIsTransparent) {
 }
 
 TEST(DynamicMatching, DeterministicAcrossWorkerCounts) {
-  const CsrGraph g = CsrGraph::from_edges(random_graph_nm(600, 2'400, 7));
-  std::vector<std::vector<VertexId>> runs;
+  // The matched-slot index is written by parallel atomics, so beyond the
+  // final solution every batch's counters must match across widths. The
+  // rMat input has hubs, where many flips share one endpoint.
+  const CsrGraph inputs[] = {
+      CsrGraph::from_edges(random_graph_nm(600, 2'400, 7)),
+      CsrGraph::from_edges(rmat_graph(12, 30'000, 7))};
+  for (const CsrGraph& g : inputs) {
+    std::vector<std::vector<VertexId>> runs;
+    std::vector<std::vector<BatchStats>> stats;
+    for (int workers : {1, 2, 4}) {
+      ScopedNumWorkers guard(workers);
+      DynamicMatching dm(EngineOptions::seeded(g, 55));
+      stats.emplace_back();
+      for (uint64_t round = 0; round < 6; ++round)
+        stats.back().push_back(dm.apply_batch(UpdateBatch::random(
+            g.num_vertices(), dm.graph().live_edge_list().edges(),
+            g.num_edges() / 80, g.num_edges() / 120, 5, 700 + round)));
+      runs.push_back(dm.solution());
+    }
+    for (std::size_t w = 1; w < runs.size(); ++w) {
+      EXPECT_EQ(runs[0], runs[w]);
+      for (std::size_t b = 0; b < stats[0].size(); ++b) {
+        const BatchStats& want = stats[0][b];
+        const BatchStats& got = stats[w][b];
+        EXPECT_EQ(got.seeds, want.seeds) << "batch " << b;
+        EXPECT_EQ(got.rounds, want.rounds) << "batch " << b;
+        EXPECT_EQ(got.recomputed, want.recomputed) << "batch " << b;
+        EXPECT_EQ(got.changed, want.changed) << "batch " << b;
+      }
+    }
+  }
+}
+
+TEST(DynamicMatching, IndexStaysExactThroughTransactions) {
+  // Commit, abort, rollback_to a savepoint and commit-time compaction (a
+  // low threshold) all write the membership bits; after every step the
+  // index-backed queries must agree with an incidence scan and the whole
+  // solution with the oracle.
   for (int workers : {1, 2, 4}) {
     ScopedNumWorkers guard(workers);
-    DynamicMatching dm(EngineOptions::seeded(g, 55));
-    for (uint64_t round = 0; round < 6; ++round)
-      dm.apply_batch(UpdateBatch::random(
-          600, dm.graph().live_edge_list().edges(), 30, 20, 5,
-          700 + round));
-    runs.push_back(dm.solution());
+    DynamicMatching dm(EngineOptions::with_source(
+        weighted_rmat(10, 6'000, 17), PrioritySource::weight_hash_tiebreak(5)));
+    dm.set_compaction_threshold(0.05);
+    MatchingTransaction txn(dm);
+    expect_exact(dm);
+    uint64_t seed = 1'000;
+    uint64_t compactions = 0;
+    for (uint64_t round = 0; round < 8; ++round) {
+      txn.begin();
+      txn.apply(rmat_batch(dm, 60, ++seed));
+      expect_exact(dm);
+      const EngineSnapshot sp = txn.savepoint();
+      txn.apply(rmat_batch(dm, 90, ++seed));
+      expect_exact(dm);
+      txn.rollback_to(sp);
+      expect_exact(dm);
+      txn.apply(rmat_batch(dm, 40, ++seed));
+      expect_exact(dm);
+      if (round % 3 == 2) {
+        txn.abort();
+      } else {
+        txn.commit();
+        if (dm.graph().overlay_fraction() == 0.0) ++compactions;
+        EXPECT_EQ(txn.committed_solution(), dm.solution());
+      }
+      expect_exact(dm);
+    }
+    EXPECT_GT(compactions, 0u) << "workers " << workers;
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(DynamicMatching, ManyHubEdgesJoiningInOneRoundSettle) {
+  // Deleting a star's matched edge frees the hub: every later hub edge
+  // joins in the same round (the hub's IN count goes well above 1, the
+  // index's scan fallback), then all but the earliest leave again.
+  constexpr uint64_t kLeaves = 600;
+  const CsrGraph g = CsrGraph::from_edges(star_graph(kLeaves + 1));
+  for (int workers : {1, 2, 4}) {
+    ScopedNumWorkers guard(workers);
+    DynamicMatching dm(EngineOptions::seeded(g, 91));
+    ASSERT_EQ(dm.size(), 1u);
+    const Edge e = dm.matched_edges().front();
+    MatchingTransaction txn(dm);
+    txn.begin();
+    const BatchStats stats = txn.apply(UpdateBatch{}.delete_edge(e.u, e.v));
+    expect_exact(dm);
+    EXPECT_EQ(dm.size(), 1u);
+    // One eager drop, the later hub edges joining, and all but the
+    // earliest of those leaving.
+    EXPECT_GT(stats.changed, kLeaves);
+    txn.abort();
+    expect_exact(dm);
+    EXPECT_TRUE(dm.matched(e.u, e.v));
+    txn.begin();
+    txn.apply(UpdateBatch{}.delete_edge(e.u, e.v));
+    txn.commit();
+    expect_exact(dm);
+  }
 }
 
 TEST(DynamicMatching, RejectsOutOfRangeBatch) {
