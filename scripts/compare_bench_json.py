@@ -11,7 +11,7 @@ Relative deltas beyond --threshold are flagged; whether a delta is a
 
   * higher-is-worse columns (--worse, default: times in ms/us, rounds,
     recomputed/seeds/retries/changed counters, and the snapshot bench's
-    txn_aborts/ring_evictions obs-counter deltas) regress when they
+    txn_aborts/version_evictions obs-counter deltas) regress when they
     increase;
   * higher-is-better columns (--better, default: the `full/...`,
     `churn/...`, `rebuild/...` win ratios) regress when they decrease;
@@ -43,7 +43,7 @@ from pathlib import Path
 
 DEFAULT_WORSE = (
     r"(_ms$|_us$|rounds|recomputed|seeds|retries|changed|txn_aborts"
-    r"|ring_evictions)")
+    r"|version_evictions)")
 DEFAULT_BETTER = r"^(full|churn|rebuild)/"
 
 

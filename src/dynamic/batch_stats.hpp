@@ -47,9 +47,10 @@ struct BatchStats {
 /// `lifetime_stats_` back on abort, but the aborted work still
 /// *happened*, and that is exactly what observability reports.
 ///
-/// `engine_label` (non-null: "mis" / "matching") additionally bumps the
-/// per-policy `engine.*{engine=...}` series — the unlabeled totals are
-/// always bumped, so labeled series refine rather than replace them.
+/// `engine_label` (non-null: "mis" / "matching"; anything else is a
+/// CheckFailure) additionally bumps the per-policy `engine.*{engine=...}`
+/// series — the unlabeled totals are always bumped, so labeled series
+/// refine rather than replace them.
 /// `num_vertices` > 0 additionally scores the batch against the round
 /// bound: `repro.depth_ratio` = rounds * 1000 / ceil(log2 n) permille
 /// (Fischer & Noever's tight Theta(log n) w.h.p. dependence depth,

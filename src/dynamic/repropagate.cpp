@@ -1,6 +1,7 @@
 #include "dynamic/repropagate.hpp"
 
 #include <bit>
+#include <cstring>
 #include <sstream>
 
 namespace pargreedy {
@@ -30,6 +31,24 @@ std::string BatchStats::summary() const {
   return os.str();
 }
 
+namespace {
+
+constexpr char kMisLabel[] = "mis";
+constexpr char kMatchingLabel[] = "matching";
+
+// The per-policy `engine.*{engine=...}` series. One instantiation per
+// label, so each PG_OBS_COUNT_L site caches its Counter once.
+template <const char* kLabel>
+void count_labeled_batch([[maybe_unused]] const BatchStats& stats) {
+  PG_OBS_COUNT_L(obs::kEngineBatches, "engine", kLabel, 1);
+  PG_OBS_COUNT_L(obs::kEngineSeeds, "engine", kLabel, stats.seeds);
+  PG_OBS_COUNT_L(obs::kEngineRounds, "engine", kLabel, stats.rounds);
+  PG_OBS_COUNT_L(obs::kEngineRecomputed, "engine", kLabel, stats.recomputed);
+  PG_OBS_COUNT_L(obs::kEngineChanged, "engine", kLabel, stats.changed);
+}
+
+}  // namespace
+
 void obs_accumulate_batch(const BatchStats& stats, const char* engine_label,
                           uint64_t num_vertices) {
   PG_OBS_COUNT(obs::kEngineBatches, 1);
@@ -46,13 +65,13 @@ void obs_accumulate_batch(const BatchStats& stats, const char* engine_label,
   if (engine_label != nullptr) {
     // Per-policy refinement of the series a dashboard splits on; the
     // full-width rollup stays on the unlabeled counters above.
-    PG_OBS_COUNT_L(obs::kEngineBatches, "engine", engine_label, 1);
-    PG_OBS_COUNT_L(obs::kEngineSeeds, "engine", engine_label, stats.seeds);
-    PG_OBS_COUNT_L(obs::kEngineRounds, "engine", engine_label, stats.rounds);
-    PG_OBS_COUNT_L(obs::kEngineRecomputed, "engine", engine_label,
-                   stats.recomputed);
-    PG_OBS_COUNT_L(obs::kEngineChanged, "engine", engine_label,
-                   stats.changed);
+    if (std::strcmp(engine_label, kMisLabel) == 0) {
+      count_labeled_batch<kMisLabel>(stats);
+    } else {
+      PG_CHECK_MSG(std::strcmp(engine_label, kMatchingLabel) == 0,
+                   "unknown engine label " << engine_label);
+      count_labeled_batch<kMatchingLabel>(stats);
+    }
   }
   if (num_vertices > 1 && stats.rounds > 0) {
     // The round bound, watched live: observed repropagation depth vs

@@ -86,16 +86,20 @@
 // One instant (tick-mark) event.
 #define PG_OBS_INSTANT(name, cat) ::pargreedy::obs::trace_instant(name, cat)
 
-// Labeled counter bump: the `name{lkey="lval"}` series. Uncached (one
-// mutex + map lookup) — for cold per-batch paths only; labeled call
-// sites ALSO keep bumping the unlabeled base series, so labels refine
-// the catalog totals without replacing them.
+// Labeled counter bump: the `name{lkey="lval"}` series. Like
+// PG_OBS_COUNT, the Counter is resolved once per call site (one mutex +
+// map lookup on the first pass only), so `lkey`/`lval` must be the same
+// on every pass through a site: literals, or a per-instantiation constant
+// inside a template. Labeled call sites ALSO keep bumping the unlabeled
+// base series, so labels refine the catalog totals without replacing
+// them.
 #define PG_OBS_COUNT_L(name, lkey, lval, delta)                    \
   do {                                                             \
     if (::pargreedy::obs::enabled()) {                             \
-      ::pargreedy::obs::MetricsRegistry::global()                  \
-          .counter(name, lkey, lval)                               \
-          .add(static_cast<uint64_t>(delta));                      \
+      static ::pargreedy::obs::Counter& pg_obs_counter_l_ =        \
+          ::pargreedy::obs::MetricsRegistry::global().counter(     \
+              name, lkey, lval);                                   \
+      pg_obs_counter_l_.add(static_cast<uint64_t>(delta));         \
     }                                                              \
   } while (0)
 
@@ -192,16 +196,12 @@ inline constexpr char kTxnCommit[] = "txn.commit";
 inline constexpr char kTxnAbort[] = "txn.abort";
 inline constexpr char kTxnAbortExplicit[] = "txn.abort.explicit";
 inline constexpr char kTxnAbortDestructor[] = "txn.abort.destructor";
-// VersionRing reads:
-inline constexpr char kRingPush[] = "ring.push";
-inline constexpr char kRingEviction[] = "ring.eviction";
-inline constexpr char kRingReadHit[] = "ring.read_hit";
-inline constexpr char kRingReadMiss[] = "ring.read_miss";
 // Lock-free published reads (txn/epoch.hpp, txn/published_state.hpp):
 inline constexpr char kReaderPins[] = "reader.pins";
 inline constexpr char kEpochReclaimed[] = "epoch.reclaimed";
 inline constexpr char kReaderStaleDistance[] = "reader.stale_read_distance";
 inline constexpr char kPublishedVersions[] = "published.versions";
+inline constexpr char kPublishedEvictions[] = "published.evictions";
 // Theory-grounded health: observed repropagation depth vs the Theta(log n)
 // round bound (arXiv:1707.05124), in permille (1000 = at the bound). The gauge
 // holds the last non-trivial batch; the histogram the distribution.

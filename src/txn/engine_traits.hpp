@@ -2,36 +2,28 @@
 // operations Transaction<Traits> needs beyond the shared txn_* seams.
 //
 // Each trait binds an engine type to its solution representation and
-// knows how to extract a *reverse solution delta* from the engine's undo
-// journal: the solution entries that changed since a journal watermark,
-// valued as they were at that watermark. Commits push these deltas into
-// the VersionRing, which numbers versions and backs the property tests;
-// reads are served from the published full copies instead
-// (txn/published_state.hpp).
+// says which solution entries a journaled decision flip can change. A
+// commit patches the newest published version at exactly those entries
+// (txn/transaction.hpp), reading each one's committed value in O(1).
 //
 //   MisTxnTraits       solution is the in_set bitmap; every membership
 //                      mutation is a journaled decision flip keyed by
-//                      vertex, so the delta is the first-logged old value
-//                      per flipped vertex.
+//                      vertex, so a flip touches its own vertex.
 //   MatchingTxnTraits  solution is the matched_with partner array, but
-//                      the journal logs per-slot matching bits; the delta
-//                      derives each touched vertex's previous partner
-//                      from the first-logged old bit per flipped slot
-//                      (a vertex's partner can only change through a flip
-//                      of an incident slot, and its pre-transaction
-//                      matched slot — if any — must itself have flipped,
-//                      so the journal always contains the evidence).
+//                      the journal logs per-slot matching bits; a flip
+//                      touches both endpoints of its slot. That covers
+//                      every vertex whose partner changed: a partner
+//                      changes only through a flip of an incident slot
+//                      (the engine's solution is unique, so at most one
+//                      incident slot is matched before and after).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/engine_api.hpp"
-#include "dynamic/undo_log.hpp"
 #include "graph/types.hpp"
 
 namespace pargreedy {
@@ -58,10 +50,18 @@ struct MisTxnTraits {
     return engine.solution();
   }
 
-  /// Solution entries changed since `mark`, with their values at `mark`
-  /// (empty when the journal span changed nothing observable).
-  static std::vector<std::pair<uint64_t, Value>> reverse_delta(
-      const Engine& engine, const EngineJournal& journal, std::size_t mark);
+  /// Calls `f(i)` for each solution index a flip of decision `item` can
+  /// change.
+  template <typename F>
+  static void for_each_touched(const Engine& /*engine*/, uint64_t item,
+                               F&& f) {
+    f(item);
+  }
+
+  /// Solution entry `i` of the engine's current state. O(1).
+  static Value value(const Engine& engine, uint64_t i) {
+    return engine.in_set(static_cast<VertexId>(i)) ? 1 : 0;
+  }
 };
 
 /// Transaction-layer binding for DynamicMatching (see file comment).
@@ -76,8 +76,18 @@ struct MatchingTxnTraits {
     return engine.solution();
   }
 
-  static std::vector<std::pair<uint64_t, Value>> reverse_delta(
-      const Engine& engine, const EngineJournal& journal, std::size_t mark);
+  /// `item` is an edge slot; slot ids are stable until compaction, so
+  /// this must run before the commit compacts.
+  template <typename F>
+  static void for_each_touched(const Engine& engine, uint64_t item, F&& f) {
+    const Edge e = engine.graph().slot_edge(static_cast<EdgeSlot>(item));
+    f(e.u);
+    f(e.v);
+  }
+
+  static Value value(const Engine& engine, uint64_t i) {
+    return engine.matched_with(static_cast<VertexId>(i));
+  }
 };
 
 }  // namespace pargreedy

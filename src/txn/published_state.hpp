@@ -1,33 +1,38 @@
 // The lock-free committed-read path: immutable published solution
 // versions behind one atomic pointer, reclaimed via epochs.
 //
-// The transactional writer keeps two representations of committed
-// history. The VersionRing stores compact reverse *deltas* — the
-// writer-side source of truth, cheap to push, but reconstruction walks
-// writer state and so lives under the single-writer contract. This file
-// adds the reader-side representation: at every commit the writer
-// materializes the full solution as an immutable PublishedVersion,
-// assembles the retained window [oldest, latest] into an immutable
-// Table, and swaps it in with one atomic exchange. Readers follow the
-// pointer under an epoch pin (txn/epoch.hpp) — no mutex, no wait on
-// in-flight speculation, no interaction with the writer beyond delaying
-// reclamation of superseded tables.
+// Committed history lives here and only here. At every commit the writer
+// builds the next version as a Draft of the newest one — a copy of its
+// solution that the commit patches at the indices its journal touched
+// (txn/transaction.hpp) — freezes it as an immutable PublishedVersion,
+// assembles the retained window [oldest, latest] into an immutable Table,
+// and swaps it in with one atomic exchange. Readers follow the pointer
+// under an epoch pin (txn/epoch.hpp) — no mutex, no wait on in-flight
+// speculation, no interaction with the writer beyond delaying reclamation
+// of superseded tables.
 //
-//   writer, per commit:  build version -> build table -> exchange
-//                        pointer -> advance epoch -> free tables whose
-//                        retire epoch is below every pinned epoch
+//   writer, per commit:  draft from newest -> patch -> freeze version ->
+//                        build table -> exchange pointer -> advance epoch
+//                        -> free tables whose retire epoch is below every
+//                        pinned epoch
 //   reader, per read:    pin epoch (RAII) -> load pointer -> read the
 //                        immutable table -> unpin
 //
 // Staleness bound: a reader sees exactly the window some recent
 // exchange published — every value it can observe equals some committed
 // version in [oldest_version(), latest_version()], never speculative or
-// aborted state. The property tests check this bit-exactly against
-// VersionRing reconstruction.
+// aborted state. The property tests check this bit-exactly against the
+// engine's solution captured at each commit.
 //
-// Torn-read detection: each PublishedVersion carries a checksum (mix64
-// fold over the version id and solution entries, random/hash.hpp)
-// computed by the writer before the exchange. Immutability means a
+// Torn-read detection: each PublishedVersion carries a checksum computed
+// by the writer before the exchange. It is additive over the entries,
+//
+//   checksum = mix64(version ^ K) ^ sum_i mix64((i << 32) ^ v_i ^ K')
+//
+// (sum mod 2^64, mix64 from random/hash.hpp), so it stays
+// position-sensitive, any single-entry change alters it (mix64 is a
+// bijection), a draft keeps it current in O(1) per patched entry, and
+// recomputing it has no serial dependency chain. Immutability means a
 // reader recomputing the checksum must match; any mismatch is a torn or
 // reclaimed-under-foot read, and the stress suites verify on every
 // observation to make such a bug deterministic instead of heisenbug.
@@ -63,19 +68,36 @@ inline constexpr uint64_t kLatestVersion = ~uint64_t{0};
 /// sound, and the checksum is what makes violations detectable.
 template <typename Value>
 struct PublishedVersion {
-  uint64_t version;         ///< committed version id (ring numbering)
+  uint64_t version;         ///< committed version id (0 = the baseline)
   uint64_t engine_epoch;    ///< engine mutation-epoch stamp at publish
   uint64_t published_epoch; ///< EpochManager epoch when published
   std::vector<Value> solution;
   uint64_t checksum;        ///< checksum(version, solution), set at publish
 
-  /// The torn-read checksum: a mix64 fold over the version id and every
-  /// solution entry (order-sensitive via the chaining).
+  /// Entry i's summand of the checksum (position-sensitive via i).
+  static uint64_t entry_term(uint64_t i, Value v) {
+    return mix64((i << 32) ^ static_cast<uint64_t>(v) ^
+                 0x456e747279537566ULL);  // "EntrySuf"
+  }
+
+  /// The version id's part of the checksum.
+  static uint64_t version_term(uint64_t version) {
+    return mix64(version ^ 0x5075626c69736864ULL);  // "Publishd"
+  }
+
+  /// Sum (mod 2^64) of every entry's term.
+  static uint64_t entry_sum(const std::vector<Value>& solution) {
+    uint64_t sum = 0;
+    for (std::size_t i = 0; i < solution.size(); ++i)
+      sum += entry_term(i, solution[i]);
+    return sum;
+  }
+
+  /// The torn-read checksum over the version id and every solution entry
+  /// (see the file comment).
   static uint64_t compute_checksum(uint64_t version,
                                    const std::vector<Value>& solution) {
-    uint64_t h = mix64(version ^ 0x5075626c69736864ULL);  // "Publishd"
-    for (const Value v : solution) h = mix64(h ^ static_cast<uint64_t>(v));
-    return h;
+    return version_term(version) ^ entry_sum(solution);
   }
 
   /// Recomputes the checksum from the stored fields and compares. A
@@ -99,6 +121,34 @@ class PublishedState {
     std::vector<std::shared_ptr<const Version>> versions;
   };
 
+  /// The writer's next version under construction (from next_draft()):
+  /// the newest published solution plus its checksum's running entry
+  /// sum, so patching one entry costs O(1) whatever n is.
+  class Draft {
+   public:
+    /// Sets entry `i` to `v`; a no-op when it already holds `v`, so an
+    /// index may be patched any number of times.
+    void set(std::size_t i, Value v) {
+      Value& cur = solution_[i];
+      if (cur == v) return;
+      sum_ += Version::entry_term(i, v) - Version::entry_term(i, cur);
+      cur = v;
+    }
+
+    [[nodiscard]] const std::vector<Value>& solution() const noexcept {
+      return solution_;
+    }
+
+   private:
+    friend class PublishedState;
+    Draft(uint64_t version, std::vector<Value> solution, uint64_t sum)
+        : version_(version), solution_(std::move(solution)), sum_(sum) {}
+
+    uint64_t version_;
+    std::vector<Value> solution_;
+    uint64_t sum_;  // entry_sum(solution_), kept current by set()
+  };
+
   /// Writer capability: publish/reclaim are single-writer (held by the
   /// owning Transaction during commit). Public so its annotations can
   /// be named by callers.
@@ -109,9 +159,8 @@ class PublishedState {
   /// expression at acquire and require sites.
   EpochManager epochs_;
 
-  /// Retains up to `retention` full versions (the Transaction passes
-  /// ring capacity + 1 so the published window and the ring's
-  /// reconstructible window are the same [oldest, latest]).
+  /// Retains up to `retention` full versions (the Transaction passes its
+  /// read-back depth + 1: the newest version and the ones before it).
   explicit PublishedState(std::size_t retention) : retention_(retention) {
     PG_CHECK_MSG(retention >= 1, "published retention must be >= 1");
   }
@@ -133,45 +182,36 @@ class PublishedState {
     return table_.load(std::memory_order_seq_cst) != nullptr;
   }
 
-  /// Publishes `solution` as committed version `version`: builds the
-  /// immutable PublishedVersion (checksummed), assembles the new window
-  /// (evicting past retention), swaps the table pointer, advances the
-  /// epoch, and frees every superseded table no reader still pins.
+  /// A draft of version latest_version() + 1: a copy of the newest
+  /// solution with its checksum sum carried over. O(n) copy, no hashing.
+  /// Checked: something is published. (Writer-only: the writer is the
+  /// only thread that frees tables, so it reads the newest one unpinned.)
+  [[nodiscard]] Draft next_draft() const PARGREEDY_REQUIRES(writer_role_) {
+    const Table* t = table_.load(std::memory_order_relaxed);
+    PG_CHECK_MSG(t != nullptr, "nothing published yet");
+    const Version& newest = *t->versions.back();
+    return Draft(newest.version + 1, newest.solution,
+                 newest.checksum ^ Version::version_term(newest.version));
+  }
+
+  /// Publishes `draft` as the next committed version; returns its id.
+  uint64_t publish(uint64_t engine_epoch, Draft draft)
+      PARGREEDY_REQUIRES(writer_role_) {
+    const uint64_t version = draft.version_;
+    install(std::make_shared<const Version>(
+        Version{version, engine_epoch, epochs_.current_epoch(),
+                std::move(draft.solution_),
+                Version::version_term(version) ^ draft.sum_}));
+    return version;
+  }
+
+  /// Publishes `solution` as committed version `version`, checksummed
+  /// from scratch — the baseline a Transaction adopts at construction.
+  /// Checked: `version` follows the newest published one.
   void publish(uint64_t version, uint64_t engine_epoch,
                std::vector<Value> solution) PARGREEDY_REQUIRES(writer_role_) {
-    PG_OBS_COUNT(obs::kPublishedVersions, 1);
-    const uint64_t checksum = Version::compute_checksum(version, solution);
-    auto ver = std::make_shared<const Version>(
-        Version{version, engine_epoch, epochs_.current_epoch(),
-                std::move(solution), checksum});
-
-    const Table* old = table_.load(std::memory_order_relaxed);
-    auto next = std::make_unique<Table>();
-    if (old != nullptr) {
-      PG_CHECK_MSG(version == old->versions.back()->version + 1,
-                   "published versions must be consecutive (publishing "
-                       << version << " after "
-                       << old->versions.back()->version << ")");
-      next->versions = old->versions;
-      if (next->versions.size() == retention_)
-        next->versions.erase(next->versions.begin());
-    }
-    next->versions.push_back(std::move(ver));
-
-    // X: the exchange readers race against; A: the epoch advance; then
-    // the reclamation scan — the X < A < scan order is what the safety
-    // argument in txn/epoch.hpp relies on.
-    const Table* prev = table_.exchange(next.release(),
-                                        std::memory_order_seq_cst);
-    const uint64_t retire_epoch = epochs_.current_epoch();
-    {
-      support::RoleScope epoch_writer(epochs_.writer_role_);
-      epochs_.advance();
-    }
-    if (prev != nullptr)
-      retired_.emplace_back(retire_epoch,
-                            std::unique_ptr<const Table>(prev));
-    reclaim();
+    const uint64_t sum = Version::entry_sum(solution);
+    publish(engine_epoch, Draft(version, std::move(solution), sum));
   }
 
   /// Frees retired tables whose retire epoch is below every pinned
@@ -284,6 +324,45 @@ class PublishedState {
   }
 
  private:
+  /// Appends `ver` to the window (evicting the oldest version past
+  /// retention), swaps the table pointer, advances the epoch, and frees
+  /// every superseded table no reader still pins. Checked: `ver` is the
+  /// version after the newest published one.
+  void install(std::shared_ptr<const Version> ver)
+      PARGREEDY_REQUIRES(writer_role_) {
+    PG_OBS_COUNT(obs::kPublishedVersions, 1);
+    PG_DCHECK(ver->verify_checksum());
+    const Table* old = table_.load(std::memory_order_relaxed);
+    auto next = std::make_unique<Table>();
+    if (old != nullptr) {
+      PG_CHECK_MSG(ver->version == old->versions.back()->version + 1,
+                   "published versions must be consecutive (publishing "
+                       << ver->version << " after "
+                       << old->versions.back()->version << ")");
+      next->versions = old->versions;
+      if (next->versions.size() == retention_) {
+        next->versions.erase(next->versions.begin());
+        PG_OBS_COUNT(obs::kPublishedEvictions, 1);
+      }
+    }
+    next->versions.push_back(std::move(ver));
+
+    // X: the exchange readers race against; A: the epoch advance; then
+    // the reclamation scan — the X < A < scan order is what the safety
+    // argument in txn/epoch.hpp relies on.
+    const Table* prev = table_.exchange(next.release(),
+                                        std::memory_order_seq_cst);
+    const uint64_t retire_epoch = epochs_.current_epoch();
+    {
+      support::RoleScope epoch_writer(epochs_.writer_role_);
+      epochs_.advance();
+    }
+    if (prev != nullptr)
+      retired_.emplace_back(retire_epoch,
+                            std::unique_ptr<const Table>(prev));
+    reclaim();
+  }
+
   std::size_t retention_;
   std::atomic<const Table*> table_{nullptr};
   // (retire epoch, table) in retire order — writer-only state.

@@ -24,10 +24,10 @@
 //   rollback_to()  checkpoint inside the transaction; rollback_to replays
 //                  the undo logs down to it (strictly LIFO: rolling back
 //                  to an earlier savepoint invalidates later ones).
-//   commit()       extracts the solution delta from the journal into the
-//                  version ring, drops the journal, runs the deferred
-//                  compaction check. The new state becomes version
-//                  version()+1.
+//   commit()       publishes the new state as version version()+1 by
+//                  patching the previous published version at the
+//                  entries the journal's decision flips touched, drops
+//                  the journal, runs the deferred compaction check.
 //   abort()        replays the undo logs back to begin(): overlay,
 //                  solution, cached priority keys, activity, and lifetime
 //                  stats are restored bit-exactly (the differential suite
@@ -35,21 +35,28 @@
 //
 // Versioned reads — lock-free, from any thread, at any time: read(v)
 // returns a self-contained ReadView (txn/read_view.hpp) served from the
-// *published state* (txn/published_state.hpp): at construction and at
-// every commit() the writer materializes the committed solution as an
-// immutable checksummed PublishedVersion and swaps in the retained
-// window with one atomic exchange. A read pins an epoch (RAII, one CAS
-// + one store — no mutex, no wait on in-flight speculation, no
-// blocking of the writer) and copies out of the immutable table.
+// *published state* (txn/published_state.hpp): at construction the
+// writer publishes the engine's solution as version 0, and every
+// commit() publishes an immutable checksummed PublishedVersion and
+// swaps in the retained window with one atomic exchange. A read pins an
+// epoch (RAII, one CAS + one store — no mutex, no wait on in-flight
+// speculation, no blocking of the writer) and copies out of the
+// immutable table.
 // Every observable value equals some committed version in
 // [oldest_version(), version()] — never speculative or aborted state —
 // and versions older than oldest_version() have been evicted (reads
 // throw CheckFailure). docs/CONCURRENCY.md is the prose contract.
 //
-// The VersionRing stays the writer-side source of truth (compact
-// reverse deltas, push per commit); the published window is the
-// reader-side materialization of the same [oldest, latest] range, and
-// the property tests hold them bit-exactly equal.
+// Publish by patch: the published window is the only committed history.
+// A commit copies the newest published solution and overwrites, for each
+// kDecision record the transaction journaled, the entries that flip can
+// change (Traits::for_each_touched) with the engine's current value
+// (Traits::value, O(1)); an index visited twice is already equal the
+// second time. The checksum is additive, so it follows each overwrite in
+// O(1). A commit therefore costs O(journal) plus one copy of the
+// solution. The greedy solution is unique (arXiv:1202.3205), so the
+// patched version must equal a from-scratch Traits::solution() — a
+// PG_DCHECK in debug builds, and the property tests' oracle.
 //
 // Staleness guard: the wrapper records the engine's epoch stamp after
 // every commit/abort. Mutating the engine directly (bypassing the
@@ -71,12 +78,11 @@
 // the wrapper owns a public `writer_role_` capability required by every
 // mutating call (begin/apply/rollback_to/commit/abort), and each body
 // acquires the wrapped engine's writer role — and, in commit(), the
-// version ring's and published state's — for its scope, so the analysis
-// verifies the whole writer path down through the engine and overlay
-// layers. The reader path needs no capability at all (the epoch pin
-// acquires the published state's shared reader role internally), which
-// is the machine-checked statement that reads never take the writer
-// role or any lock.
+// published state's — for its scope, so the analysis verifies the whole
+// writer path down through the engine and overlay layers. The reader
+// path needs no capability at all (the epoch pin acquires the published
+// state's shared reader role internally), which is the machine-checked
+// statement that reads never take the writer role or any lock.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +100,6 @@
 #include "txn/engine_traits.hpp"
 #include "txn/published_state.hpp"
 #include "txn/read_view.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 
@@ -117,16 +122,14 @@ class Transaction {
 
   /// Wraps `engine`, adopting its current state as version 0 (published
   /// immediately, so readers have a baseline before the first commit).
-  /// The engine must outlive the wrapper; route all mutations through it
-  /// from here on (the epoch guard catches violations).
+  /// Reads reach back `retention` commits: the window holds
+  /// retention + 1 versions. The engine must outlive the wrapper; route
+  /// all mutations through it from here on (the epoch guard catches
+  /// violations).
   explicit Transaction(Engine& engine,
-                       std::size_t ring_capacity = kDefaultVersionRetention)
+                       std::size_t retention = kDefaultVersionRetention)
       : engine_(engine),
-        ring_(ring_capacity),
-        // One more than the ring's delta count: a ring holding k deltas
-        // reconstructs k+1 versions, and the published window retains
-        // exactly that [oldest, latest] range.
-        published_(ring_capacity + 1),
+        published_(retention + 1),
         expected_epoch_(engine.epoch()) {
     support::RoleScope published_writer(published_.writer_role_);
     published_.publish(0, engine.epoch(), Traits::solution(engine));
@@ -249,9 +252,10 @@ class Transaction {
     txn_stats_ = snapshot.txn_stats;
   }
 
-  /// Makes the speculative state durable as version version()+1 (pushes
-  /// the reverse solution delta into the ring, drops the journal, runs
-  /// the deferred compaction check) and returns the new version.
+  /// Makes the speculative state durable as version version()+1
+  /// (patches the previous published version from the journal, drops
+  /// the journal, runs the deferred compaction check, publishes) and
+  /// returns the new version.
   uint64_t commit() PARGREEDY_REQUIRES(writer_role_) {
     PG_CHECK_MSG(active_, "commit() outside a transaction");
     PG_OBS_COUNT(obs::kTxnCommit, 1);
@@ -261,27 +265,37 @@ class Transaction {
     PG_OBS_SPAN1(span_commit, "txn.commit", "txn", "journal_records",
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
-    support::RoleScope ring_writer(ring_.writer_role_);
-    ring_.push(
-        Traits::reverse_delta(engine_, journal_.engine, base_.engine_records));
+    support::RoleScope published_writer(published_.writer_role_);
+    // The newest published version is the state at begin() (abort
+    // restores it bit-exactly, and the epoch guard rejects anything
+    // else), so patching it at every entry a flip touched yields the
+    // committed solution. This runs before compaction, which reassigns
+    // the slot ids matching records name.
+    auto draft = published_.next_draft();
+    for (std::size_t r = base_.engine_records; r < journal_.engine.size();
+         ++r) {
+      const EngineUndoRecord& rec = journal_.engine[r];
+      if (rec.kind != EngineUndoRecord::Kind::kDecision) continue;
+      Traits::for_each_touched(engine_, rec.item, [&](uint64_t i) {
+        draft.set(i, Traits::value(engine_, i));
+      });
+    }
     journal_.engine.truncate(base_.engine_records);
     journal_.overlay.truncate(base_.overlay_records);
     engine_.txn_detach();
     active_ = false;
     engine_.compact_if_needed();  // deferred from the journaled applies
     expected_epoch_ = engine_.epoch();
+    // Compaction changes overlay layout, never solution values.
+    PG_DCHECK(draft.solution() == Traits::solution(engine_));
     // The publication point: one atomic swap and concurrent readers see
-    // the new version (the compaction above does not change solution
-    // values, only overlay layout, so publishing after it is exact).
-    support::RoleScope published_writer(published_.writer_role_);
-    published_.publish(ring_.latest(), engine_.epoch(),
-                       Traits::solution(engine_));
-    return ring_.latest();
+    // the new version.
+    return published_.publish(engine_.epoch(), std::move(draft));
   }
 
   /// Discards the transaction: replays the undo logs back to begin().
   /// Overlay, solution, cached keys, activity and lifetime stats are
-  /// restored bit-exactly; the version ring is untouched.
+  /// restored bit-exactly; nothing is published.
   void abort() PARGREEDY_REQUIRES(writer_role_) {
     abort_impl(AbortCause::kExplicit);
   }
@@ -314,13 +328,6 @@ class Transaction {
   /// metadata (see txn/published_state.hpp).
   [[nodiscard]] const PublishedState<Value>& published_state() const {
     return published_;
-  }
-
-  /// The version ring (writer-side reverse-delta history). Writer-only:
-  /// its read surface walks writer state, unlike the published window.
-  [[nodiscard]] const VersionRing<Value>& ring() const
-      PARGREEDY_REQUIRES(writer_role_) {
-    return ring_;
   }
 
  private:
@@ -366,7 +373,6 @@ class Transaction {
 
   Engine& engine_;
   TxnJournal journal_;
-  VersionRing<Value> ring_;
   PublishedState<Value> published_;  // the lock-free reader window
   uint64_t expected_epoch_;  // engine epoch after the last commit/abort
   uint64_t txn_id_ = 0;      // guards savepoints across transactions

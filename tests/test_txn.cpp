@@ -1,6 +1,7 @@
 // Unit tests for the transactional layer (src/txn/): snapshot/rollback
-// bit-exactness, commit equivalence, nested savepoints, the version ring,
-// the epoch staleness guard, and the overlay undo journal itself.
+// bit-exactness, commit equivalence, nested savepoints, the retained
+// version window, the epoch staleness guard, and the overlay undo
+// journal itself.
 //
 // The heavy randomized coverage lives in test_txn_differential.cpp; this
 // suite pins down the API contract and the corner cases one at a time.
@@ -20,12 +21,11 @@
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
+#include "parallel/arch.hpp"
 #include "support/check.hpp"
-#include "support/thread_annotations.hpp"
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
 #include "txn/transaction.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 namespace {
@@ -284,7 +284,7 @@ TEST(TxnMis, OverlayOnlySavepointInvalidationIsRejected) {
 TEST(TxnMis, VersionRingReconstructsRecentCommits) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 11), PrioritySource::weight_hash_tiebreak(15)));
-  MisTransaction txn(dm, /*ring_capacity=*/4);
+  MisTransaction txn(dm, /*retention=*/4);
 
   std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 7; ++round) {
@@ -344,11 +344,13 @@ TEST(TxnMis, EpochGuardRejectsExternalMutation) {
 TEST(TxnMis, SolutionAtRetentionBoundaries) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 21), PrioritySource::weight_hash_tiebreak(22)));
-  MisTransaction txn(dm, /*ring_capacity=*/4);
+  MisTransaction txn(dm, /*retention=*/4);
+  std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 7; ++round) {
     txn.begin();
     txn.apply(mixed_batch(dm.graph(), 12, 540 + round));
     txn.commit();
+    history.push_back(dm.solution());
   }
   ASSERT_EQ(txn.version(), 7u);
   ASSERT_EQ(txn.oldest_version(), 3u);
@@ -360,36 +362,30 @@ TEST(TxnMis, SolutionAtRetentionBoundaries) {
   EXPECT_NO_THROW((void)txn.solution_at(txn.version()));
   EXPECT_THROW((void)txn.solution_at(txn.version() + 1), CheckFailure);
   // And the oldest boundary is exact, not just non-throwing: it equals
-  // the ring's reverse-delta reconstruction (writer-side oracle).
-  std::vector<uint8_t> oracle = txn.committed_solution();
-  {
-    support::RoleScope writer(txn.writer_role_);
-    txn.ring().reconstruct(oracle, txn.oldest_version());
-  }
-  EXPECT_EQ(txn.solution_at(txn.oldest_version()), oracle);
+  // the engine's solution captured right after that commit.
+  EXPECT_EQ(txn.solution_at(txn.oldest_version()),
+            history[txn.oldest_version()]);
 }
 
-TEST(TxnMis, PublishedWindowMatchesRingBitExactly) {
+TEST(TxnMis, PublishedWindowMatchesCommitHistoryBitExactly) {
   DynamicMis dm(EngineOptions::with_source(
       weighted_graph(200, 800, 23), PrioritySource::weight_hash_tiebreak(24)));
-  MisTransaction txn(dm, /*ring_capacity=*/3);
+  MisTransaction txn(dm, /*retention=*/3);
+  std::vector<std::vector<uint8_t>> history{dm.solution()};  // version 0
   for (uint64_t round = 0; round < 6; ++round) {
     txn.begin();
     txn.apply(mixed_batch(dm.graph(), 10, 560 + round));
     txn.commit();
+    history.push_back(dm.solution());
   }
   const auto& state = txn.published_state();
   ReadGuard guard(state.epochs_);
   const auto& window = state.window(guard);
-  EXPECT_EQ(window.versions.size(), 4u);  // ring capacity + 1
+  EXPECT_EQ(window.versions.size(), 4u);  // retention + 1
   for (const auto& ver : window.versions) {
     EXPECT_TRUE(ver->verify_checksum()) << "version " << ver->version;
-    std::vector<uint8_t> oracle = txn.committed_solution();
-    {
-      support::RoleScope writer(txn.writer_role_);
-      txn.ring().reconstruct(oracle, ver->version);
-    }
-    EXPECT_EQ(ver->solution, oracle) << "version " << ver->version;
+    EXPECT_EQ(ver->solution, history[ver->version])
+        << "version " << ver->version;
   }
 }
 
@@ -526,7 +522,7 @@ TEST(TxnMatching, NestedSavepointsUnwindLifo) {
 TEST(TxnMatching, VersionRingAndInflightReads) {
   DynamicMatching dm(EngineOptions::with_source(
       weighted_graph(200, 800, 23), PrioritySource::weight_hash_tiebreak(33)));
-  MatchingTransaction txn(dm, /*ring_capacity=*/4);
+  MatchingTransaction txn(dm, /*retention=*/4);
 
   std::vector<std::vector<VertexId>> history{dm.solution()};
   for (uint64_t round = 0; round < 6; ++round) {
@@ -566,6 +562,93 @@ TEST(TxnMatching, OracleExactnessAfterCommitAndAbort) {
     const CsrGraph h = dm.active_subgraph();
     EXPECT_EQ(dm.solution(),
               mm_sequential(h, dm.edge_order_for(h)).matched_with);
+  }
+}
+
+// --- publish by patch: commits that compact or flip nothing ----------
+
+/// Commits `kCommits` batches with a compaction threshold low enough
+/// that commits compact; after each one the published version must equal
+/// the engine's full solution and checksum-verify. Matching journal
+/// records name slots, which compaction renumbers — this pins that the
+/// commit reads them before it compacts.
+template <typename Txn, typename Engine>
+void expect_compacting_commits_exact(Engine& engine, uint64_t seed) {
+  constexpr uint64_t kCommits = 6;
+  engine.set_compaction_threshold(0.01);
+  Txn txn(engine, /*retention=*/kCommits);
+  std::vector<std::vector<typename Txn::Value>> history{engine.solution()};
+  uint64_t compactions = 0;
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    txn.begin();
+    txn.apply(mixed_batch(engine.graph(), 30, seed + i));
+    const uint64_t applied_epoch = engine.epoch();
+    EXPECT_EQ(txn.commit(), i + 1);
+    if (engine.epoch() != applied_epoch) ++compactions;
+    history.push_back(engine.solution());
+    const auto view = txn.read();
+    EXPECT_EQ(view.version(), i + 1);
+    EXPECT_EQ(view.to_vector(), history.back()) << "commit " << i;
+    EXPECT_TRUE(view.verify_checksum()) << "commit " << i;
+  }
+  EXPECT_GT(compactions, 0u) << "no commit compacted; raise the churn";
+  for (uint64_t v = 0; v <= txn.version(); ++v)
+    EXPECT_EQ(txn.solution_at(v), history[v]) << "version " << v;
+}
+
+TEST(TxnPublish, CompactingCommitsPublishEngineSolution) {
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    ScopedNumWorkers scoped(workers);
+    DynamicMis mis(EngineOptions::with_source(
+        weighted_graph(150, 500, 61),
+        PrioritySource::weight_hash_tiebreak(62)));
+    expect_compacting_commits_exact<MisTransaction>(mis, 1600);
+    DynamicMatching mm(EngineOptions::with_source(
+        weighted_graph(150, 500, 63),
+        PrioritySource::weight_hash_tiebreak(64)));
+    expect_compacting_commits_exact<MatchingTransaction>(mm, 1700);
+  }
+}
+
+/// A commit whose transaction flips no decision — an empty one and one
+/// of key-unchanged edge reweights (random_hash ignores weights) — still
+/// advances the version, and republishes the previous solution under a
+/// checksum that verifies.
+template <typename Txn, typename Engine>
+void expect_no_flip_commits_advance(Engine& engine, const CsrGraph& g) {
+  Txn txn(engine);
+  txn.begin();
+  txn.apply(mixed_batch(engine.graph(), 10, 1800));
+  txn.commit();
+  const auto before = txn.read();
+
+  txn.begin();
+  EXPECT_EQ(txn.commit(), before.version() + 1);  // nothing applied
+  UpdateBatch reweights;
+  reweights.reweight_edge(g.edge(0).u, g.edge(0).v, 7.0)
+      .reweight_edge(g.edge(1).u, g.edge(1).v, 9.0);
+  txn.begin();
+  EXPECT_EQ(txn.apply(reweights).changed, 0u);
+  EXPECT_EQ(txn.commit(), before.version() + 2);
+
+  for (uint64_t v = before.version() + 1; v <= txn.version(); ++v) {
+    const auto view = txn.read(v);
+    EXPECT_EQ(view.to_vector(), before.to_vector()) << "version " << v;
+    EXPECT_TRUE(view.verify_checksum()) << "version " << v;
+  }
+  EXPECT_EQ(txn.committed_solution(), engine.solution());
+}
+
+TEST(TxnPublish, CommitThatFlipsNothingAdvancesVersion) {
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    ScopedNumWorkers scoped(workers);
+    const CsrGraph g = weighted_graph(120, 400, 65);
+    DynamicMis mis(EngineOptions::seeded(g, 66u));
+    expect_no_flip_commits_advance<MisTransaction>(mis, g);
+    DynamicMatching mm(EngineOptions::seeded(g, 67u));
+    expect_no_flip_commits_advance<MatchingTransaction>(mm, g);
   }
 }
 
@@ -617,32 +700,6 @@ TEST(OverlayJournal, UnweightedUpgradeIsUndone) {
   EXPECT_FALSE(overlay.has_edge_weights());
   EXPECT_FALSE(overlay.has_edge(1, 2));
   overlay.set_journal(nullptr);
-}
-
-// --- the version ring on its own ------------------------------------
-
-TEST(VersionRingTest, ReconstructWalksReverseDeltas) {
-  VersionRing<uint8_t> ring(2);
-  // v0 = {0,0,0}; v1 flips index 1; v2 flips indexes 0 and 1.
-  ring.push({{1, 0}});          // v1's delta: index 1 was 0 at v0
-  ring.push({{0, 0}, {1, 1}});  // v2's delta: values at v1
-  EXPECT_EQ(ring.latest(), 2u);
-  EXPECT_EQ(ring.oldest(), 0u);
-
-  std::vector<uint8_t> sol{1, 0, 0};  // the solution at v2
-  std::vector<uint8_t> at_v1 = sol;
-  ring.reconstruct(at_v1, 1);
-  EXPECT_EQ(at_v1, (std::vector<uint8_t>{0, 1, 0}));
-  std::vector<uint8_t> at_v0 = sol;
-  ring.reconstruct(at_v0, 0);
-  EXPECT_EQ(at_v0, (std::vector<uint8_t>{0, 0, 0}));
-
-  ring.push({});  // v3 changed nothing; evicts v1's delta
-  EXPECT_EQ(ring.oldest(), 1u);
-  EXPECT_FALSE(ring.contains(0));
-  std::vector<uint8_t> stale = sol;
-  EXPECT_THROW(ring.reconstruct(stale, 0), CheckFailure);
-  EXPECT_THROW(VersionRing<uint8_t>(0), CheckFailure);
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 // Compiled with `clang -fsyntax-only -Wthread-safety -Werror=thread-safety`
 // by the thread_safety_contract_clean ctest (Clang configures only). The
 // explicit template instantiations at the bottom force the analysis through
-// every member of Transaction and VersionRing; the writer functions model
+// every member of Transaction and PublishedState; the writer functions model
 // the protocol's one writer thread holding each object's role capability.
 // If an annotation rots — a mutator loses its REQUIRES, a body stops
 // acquiring a role it needs — this TU stops being warning-clean and the
 // test fails.
 #include <cstdint>
+#include <utility>
 
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
@@ -19,7 +20,6 @@
 #include "txn/epoch.hpp"
 #include "txn/published_state.hpp"
 #include "txn/transaction.hpp"
-#include "txn/version_ring.hpp"
 
 namespace pargreedy {
 
@@ -57,7 +57,8 @@ void overlay_writer(OverlayGraph& graph)
 }
 
 // The transaction layer's writer thread: holds the wrapper's role; the
-// wrapper's bodies acquire the engine's (and, in commit, the ring's).
+// wrapper's bodies acquire the engine's (and, in commit, the published
+// state's).
 uint64_t txn_writer(MisTransaction& txn, const UpdateBatch& batch)
     PARGREEDY_REQUIRES(txn.writer_role_) {
   txn.begin();
@@ -66,11 +67,6 @@ uint64_t txn_writer(MisTransaction& txn, const UpdateBatch& batch)
   txn.apply(batch);
   txn.rollback_to(sp);
   return txn.commit();
-}
-
-void ring_writer(VersionRing<uint8_t>& ring)
-    PARGREEDY_REQUIRES(ring.writer_role_) {
-  ring.push({});
 }
 
 // The lock-free reader surface: NO capability on the function — this is
@@ -100,7 +96,10 @@ uint64_t txn_lock_free_reader(const MisTransaction& txn) {
 // (the epoch advance acquires the manager's own writer role inside).
 void published_writer(PublishedState<uint8_t>& state)
     PARGREEDY_REQUIRES(state.writer_role_) {
-  state.publish(0, 0, {});
+  state.publish(0, 0, {0});
+  auto draft = state.next_draft();
+  draft.set(0, 1);
+  state.publish(1, std::move(draft));
   state.reclaim();
   (void)state.retired_count();
 }
@@ -115,8 +114,6 @@ int scoped_width_change() {
 // Force analysis of every templated member.
 template class Transaction<MisTxnTraits>;
 template class Transaction<MatchingTxnTraits>;
-template class VersionRing<uint8_t>;
-template class VersionRing<VertexId>;
 template class PublishedState<uint8_t>;
 template class PublishedState<VertexId>;
 
