@@ -214,7 +214,8 @@ CsrGraph OverlayGraph::gather_csr(std::span<const uint8_t> active) const {
   // Collect the surviving (edge, weight) pairs in slot order, then sort
   // them into the canonical (u, v) order the CSR builder expects. Live
   // slots hold distinct canonical edges, so the sorted list is already
-  // normalized and the weights stay aligned with the new edge ids.
+  // normalized (from_edges builds it as is) and the weights stay aligned
+  // with the new edge ids.
   std::vector<Edge> edges;
   std::vector<Weight> weights;
   edges.reserve(live_edges_);
@@ -245,9 +246,8 @@ CsrGraph OverlayGraph::gather_csr(std::span<const uint8_t> active) const {
     if (edge_weighted_) sorted_weights[i] = weights[by_rank[i]];
   }
 
-  CsrGraph g = CsrGraph::from_edges(
-      EdgeList(num_vertices(), std::move(sorted_edges)),
-      /*assume_normalized=*/true);
+  CsrGraph g =
+      CsrGraph::from_edges(EdgeList(num_vertices(), std::move(sorted_edges)));
   if (edge_weighted_) g.set_edge_weights(std::move(sorted_weights));
   if (vertex_weighted_) g.set_vertex_weights(vertex_weights_);
   return g;

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "generators/generators.hpp"
+#include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
 #include "random/hash.hpp"
 #include "random/xoshiro.hpp"
@@ -39,21 +40,19 @@ EdgeList random_graph_nm(uint64_t n, uint64_t m, uint64_t seed) {
     accumulated = normalize_edges(accumulated);
   }
   // Trim any overshoot by keeping a *random* m-subset (plain truncation of
-  // the sorted list would starve high-id vertices of edges).
+  // the sorted list would starve high-id vertices of edges): the m edges
+  // whose cut keys, distinct as hash64 is a bijection, are the smallest.
   if (accumulated.num_edges() > m) {
     std::vector<Edge>& edges = accumulated.mutable_edges();
-    std::vector<uint32_t> order(edges.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-      order[i] = static_cast<uint32_t>(i);
     const HashRng cut = HashRng(seed).child(0x43555400);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const uint64_t ka = cut.bits(a), kb = cut.bits(b);
-      return ka != kb ? ka < kb : a < b;
+    std::vector<uint64_t> keys(edges.size());
+    parallel_for(0, static_cast<int64_t>(keys.size()), [&](int64_t i) {
+      keys[static_cast<std::size_t>(i)] = cut.bits(static_cast<uint64_t>(i));
     });
-    std::vector<Edge> kept(m);
-    for (uint64_t i = 0; i < m; ++i) kept[i] = edges[order[i]];
-    sort_edges(kept, n);
-    edges.swap(kept);
+    std::nth_element(keys.begin(), keys.begin() + (m - 1), keys.end());
+    edges = pack(std::span<const Edge>(edges), [&](int64_t i) {
+      return cut.bits(static_cast<uint64_t>(i)) <= keys[m - 1];
+    });
   }
   return accumulated;
 }

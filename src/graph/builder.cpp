@@ -8,6 +8,7 @@
 // the results, keeps every downstream instrumentation number reproducible.)
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "graph/csr_graph.hpp"
 #include "parallel/counting_sort.hpp"
@@ -35,7 +36,7 @@ CsrGraph build_csr_from_normalized(EdgeList normalized) {
 
   CsrGraph g;
   g.num_vertices_ = n;
-  g.edges_.assign(normalized.edges().begin(), normalized.edges().end());
+  g.edges_ = std::move(normalized.mutable_edges());
   g.offsets_.assign(n + 1, 0);
   if (n == 0 || m == 0) return g;
 

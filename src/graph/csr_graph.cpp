@@ -18,12 +18,10 @@ bool all_finite(const std::vector<Weight>& weights) {
 
 }  // namespace
 
-CsrGraph CsrGraph::from_edges(const EdgeList& edges, bool assume_normalized) {
-  if (assume_normalized) {
-    return build_csr_from_normalized(
-        EdgeList(edges.num_vertices(),
-                 std::vector<Edge>(edges.edges().begin(), edges.edges().end())));
-  }
+CsrGraph CsrGraph::from_edges(const EdgeList& edges) {
+  if (first_noncanonical_edge(edges.edges(), edges.num_vertices()) ==
+      edges.num_edges())
+    return build_csr_from_normalized(edges);
   return build_csr_from_normalized(normalize_edges(edges));
 }
 

@@ -20,12 +20,13 @@ class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Builds a CSR graph from an arbitrary edge list. The input is
-  /// normalized first (self loops and duplicates dropped, endpoints put in
-  /// canonical order); pass `assume_normalized = true` to skip that step
-  /// when the caller guarantees it. Deterministic in the input.
-  static CsrGraph from_edges(const EdgeList& edges,
-                             bool assume_normalized = false);
+  /// Builds a CSR graph from an arbitrary edge list. One parallel pass
+  /// checks whether the input is already canonical (u < v < n, strictly
+  /// increasing, as every generator emits it); such input is built as is.
+  /// Anything else is normalized first (self loops and duplicates dropped,
+  /// endpoints put in canonical order), and an endpoint >= n throws
+  /// CheckFailure. Deterministic in the input.
+  static CsrGraph from_edges(const EdgeList& edges);
 
   /// Number of vertices n.
   [[nodiscard]] uint64_t num_vertices() const noexcept { return num_vertices_; }
@@ -121,8 +122,10 @@ class CsrGraph {
   std::vector<Weight> edge_weights_;   // m entries, or empty (unweighted)
 };
 
-/// Internal: builds the CSR arrays from an already-normalized edge list.
-/// Exposed for the builder translation unit; use CsrGraph::from_edges.
+/// Internal: builds the CSR arrays from an already-normalized edge list,
+/// taking ownership of its edge table. Exposed for the builder translation
+/// unit and for readers that have checked first_noncanonical_edge
+/// themselves; use CsrGraph::from_edges.
 CsrGraph build_csr_from_normalized(EdgeList normalized);
 
 }  // namespace pargreedy

@@ -5,6 +5,7 @@
 #include "parallel/counting_sort.hpp"
 #include "parallel/pack.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/reduce.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -20,14 +21,27 @@ bool EdgeList::endpoints_in_range() const {
   return true;
 }
 
+std::size_t first_noncanonical_edge(std::span<const Edge> edges,
+                                    uint64_t num_vertices) {
+  const int64_t m = static_cast<int64_t>(edges.size());
+  return static_cast<std::size_t>(reduce_min<int64_t>(0, m, m, [&](int64_t i) {
+    const Edge e = edges[static_cast<std::size_t>(i)];
+    const bool ok = e.u < e.v && e.v < num_vertices &&
+                    (i == 0 || edges[static_cast<std::size_t>(i - 1)] < e);
+    return ok ? m : i;
+  }));
+}
+
 void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices) {
   const int64_t m = static_cast<int64_t>(edges.size());
-  if (m < 1 << 16 || num_workers() == 1 || num_vertices == 0) {
+  if (m < 1 << 16 || num_vertices == 0) {
     std::sort(edges.begin(), edges.end());
     return;
   }
-  // Two-pass parallel sort: stable counting sort into contiguous u-ranges,
-  // then std::sort each bucket independently.
+  // Three passes: a stable counting sort into contiguous u-ranges, a
+  // counting sort by u inside each range, then each run of one u (a few
+  // edges on sparse graphs) sorted by v. Linear work but for the short
+  // runs; the nested counting sort runs serially inside the parallel loop.
   const int64_t buckets = std::min<int64_t>(1024, (int64_t)num_vertices);
   std::vector<Edge> scratch(edges.size());
   const std::vector<int64_t> offsets = counting_sort<Edge>(
@@ -37,12 +51,34 @@ void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices) {
             static_cast<__uint128_t>(e.u) * static_cast<uint64_t>(buckets) /
             num_vertices);
       });
-  edges.swap(scratch);
   parallel_for(
       0, buckets,
       [&](int64_t b) {
-        std::sort(edges.begin() + offsets[static_cast<std::size_t>(b)],
-                  edges.begin() + offsets[static_cast<std::size_t>(b) + 1]);
+        const int64_t lo = offsets[static_cast<std::size_t>(b)];
+        const int64_t hi = offsets[static_cast<std::size_t>(b) + 1];
+        if (lo == hi) return;
+        const std::span<const Edge> in(scratch.data() + lo,
+                                       static_cast<std::size_t>(hi - lo));
+        const std::span<Edge> out(edges.data() + lo, in.size());
+        VertexId ulo = in[0].u;
+        VertexId uhi = in[0].u;
+        for (const Edge& e : in) {
+          ulo = std::min(ulo, e.u);
+          uhi = std::max(uhi, e.u);
+        }
+        // One run per u, or per a few u's when the bucket's edges are
+        // sparser than its u-range, so the pass stays linear in them.
+        const uint64_t range = static_cast<uint64_t>(uhi - ulo) + 1;
+        const int64_t runs_wanted =
+            std::min<int64_t>(static_cast<int64_t>(range), hi - lo);
+        const std::vector<int64_t> runs = counting_sort<Edge>(
+            in, out, runs_wanted, [&](const Edge& e) {
+              return static_cast<int64_t>(static_cast<uint64_t>(e.u - ulo) *
+                                          static_cast<uint64_t>(runs_wanted) /
+                                          range);
+            });
+        for (std::size_t r = 0; r + 1 < runs.size(); ++r)
+          std::sort(out.begin() + runs[r], out.begin() + runs[r + 1]);
       },
       /*grain=*/1);
 }
@@ -51,15 +87,14 @@ EdgeList normalize_edges(const EdgeList& in) {
   PG_CHECK_MSG(in.endpoints_in_range(),
                "edge list has endpoints >= num_vertices");
   const std::span<const Edge> raw = in.edges();
-  // Canonicalize and drop self loops.
-  std::vector<Edge> canon(raw.size());
-  parallel_for(0, static_cast<int64_t>(raw.size()), [&](int64_t i) {
-    canon[static_cast<std::size_t>(i)] =
-        raw[static_cast<std::size_t>(i)].canonical();
+  // Drop self loops, then canonicalize what is left in place.
+  std::vector<Edge> no_loops = pack(raw, [&](int64_t i) {
+    return !raw[static_cast<std::size_t>(i)].is_loop();
   });
-  std::vector<Edge> no_loops =
-      pack(std::span<const Edge>(canon),
-           [&](int64_t i) { return !canon[static_cast<std::size_t>(i)].is_loop(); });
+  parallel_for(0, static_cast<int64_t>(no_loops.size()), [&](int64_t i) {
+    Edge& e = no_loops[static_cast<std::size_t>(i)];
+    e = e.canonical();
+  });
   sort_edges(no_loops, in.num_vertices());
   // Deduplicate (sorted, so adjacent equal edges collapse).
   std::vector<Edge> unique =

@@ -2,6 +2,7 @@
 // and consumed by the CSR builder.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,6 +42,13 @@ class EdgeList {
 /// u < v canonical order, duplicates removed, edges sorted by (u, v).
 /// Parallel (bucketed sort); deterministic in the input.
 EdgeList normalize_edges(const EdgeList& in);
+
+/// Index of the first edge that breaks canonical order: u < v <
+/// num_vertices, and strictly greater than the edge before it. Returns
+/// edges.size() when the whole list is canonical, i.e. exactly what
+/// normalize_edges would return. One parallel pass.
+std::size_t first_noncanonical_edge(std::span<const Edge> edges,
+                                    uint64_t num_vertices);
 
 /// Sorts edges by (u, v) in place, in parallel; deterministic.
 void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -153,20 +154,23 @@ CsrGraph read_binary_graph(const std::filesystem::path& path) {
           static_cast<std::streamsize>(table_bytes));
   PG_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(table_bytes),
                "truncated edge table in " << path);
-  PG_CHECK_MSG(edges.endpoints_in_range(),
-               "endpoint out of range in " << path);
-  // The writer emits the canonical table (u < v, strictly increasing), so
-  // the normalization pass is skipped — but only after one O(m) pass
-  // confirms the bytes keep that contract.
+  // The writer emits the canonical table (u < v < n, strictly
+  // increasing), so the normalization pass is skipped, but only after one
+  // parallel pass confirms the bytes keep that contract.
   const std::span<const Edge> table = edges.edges();
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    PG_CHECK_MSG(table[i].u < table[i].v,
-                 "edge " << i << " is not canonical (u < v) in " << path);
-    PG_CHECK_MSG(i == 0 || table[i - 1] < table[i],
-                 "edge table not strictly increasing at edge "
-                     << i << " in " << path);
+  const std::size_t bad = first_noncanonical_edge(table, n);
+  if (bad < m) {
+    const Edge e = table[bad];
+    PG_CHECK_MSG(e.u < n && e.v < n,
+                 "endpoint out of range at edge " << bad << " in " << path);
+    PG_CHECK_MSG(e.u < e.v,
+                 "edge " << bad << " is not canonical (u < v) in " << path);
+    // In range and canonical, so edge `bad` is not the first one.
+    PG_CHECK_MSG(table[bad - 1] < e,
+                 "edge table not strictly increasing at edge " << bad << " in "
+                                                               << path);
   }
-  return CsrGraph::from_edges(edges, /*assume_normalized=*/true);
+  return build_csr_from_normalized(std::move(edges));
 }
 
 }  // namespace pargreedy

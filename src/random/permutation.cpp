@@ -1,12 +1,11 @@
 #include "random/permutation.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "parallel/counting_sort.hpp"
 #include "parallel/parallel_for.hpp"
 #include "random/hash.hpp"
-#include "support/check.hpp"
 
 namespace pargreedy {
 
@@ -16,49 +15,48 @@ namespace {
 constexpr int64_t kSortBuckets = 1024;
 constexpr int kBucketShift = 54;  // 64 - log2(kSortBuckets)
 
-}  // namespace
-
-void parallel_sort_by_key(std::span<uint32_t> items,
-                          const std::vector<uint64_t>& keys) {
-  const int64_t n = static_cast<int64_t>(items.size());
-  auto cmp = [&](uint32_t a, uint32_t b) {
-    // Tie-break on the item id so the order is a total function of the keys.
-    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+/// Sorts `ids` by (key(id), id). Pass 1: stable counting sort into
+/// kSortBuckets buckets by the key's top bits. Pass 2: each bucket sorted
+/// independently in parallel as inline (key, id) pairs, so no comparison
+/// gathers a key. Both passes are deterministic, so the result is too.
+template <typename Key>
+void sort_by_key_then_id(std::span<uint32_t> ids, Key&& key) {
+  const auto sort_run = [&](auto first, auto last) {
+    std::vector<std::pair<uint64_t, uint32_t>> run;
+    run.reserve(static_cast<std::size_t>(last - first));
+    for (auto it = first; it != last; ++it) run.emplace_back(key(*it), *it);
+    std::sort(run.begin(), run.end());
+    for (auto it = first; it != last; ++it) *it = run[it - first].second;
   };
-  if (n < 1 << 16 || num_workers() == 1) {
-    std::sort(items.begin(), items.end(), cmp);
-    return;
-  }
-  // Pass 1: stable counting sort into kSortBuckets buckets by the key's top
-  // bits. Pass 2: std::sort each bucket independently in parallel. Both
-  // passes are deterministic, so the result is too.
-  std::vector<uint32_t> scratch(items.size());
+  if (ids.size() < 1 << 16) return sort_run(ids.begin(), ids.end());
+  const std::vector<uint32_t> scratch(ids.begin(), ids.end());
   const std::vector<int64_t> offsets = counting_sort<uint32_t>(
-      std::span<const uint32_t>(items.data(), items.size()),
-      std::span<uint32_t>(scratch), kSortBuckets,
-      [&](uint32_t v) { return static_cast<int64_t>(keys[v] >> kBucketShift); });
-  std::memcpy(items.data(), scratch.data(), items.size() * sizeof(uint32_t));
+      std::span<const uint32_t>(scratch), ids, kSortBuckets,
+      [&](uint32_t v) {
+        return static_cast<int64_t>(key(v) >> kBucketShift);
+      });
   parallel_for(
       0, kSortBuckets,
       [&](int64_t b) {
-        std::sort(items.begin() + offsets[static_cast<std::size_t>(b)],
-                  items.begin() + offsets[static_cast<std::size_t>(b) + 1],
-                  cmp);
+        sort_run(ids.begin() + offsets[static_cast<std::size_t>(b)],
+                 ids.begin() + offsets[static_cast<std::size_t>(b) + 1]);
       },
       /*grain=*/1);
 }
 
+}  // namespace
+
+void parallel_sort_by_key(std::span<uint32_t> items,
+                          const std::vector<uint64_t>& keys) {
+  sort_by_key_then_id(items, [&](uint32_t v) { return keys[v]; });
+}
+
 std::vector<uint32_t> random_permutation(uint64_t n, uint64_t seed) {
   std::vector<uint32_t> perm(n);
-  parallel_for(0, static_cast<int64_t>(n),
-               [&](int64_t i) { perm[static_cast<std::size_t>(i)] =
-                                    static_cast<uint32_t>(i); });
-  std::vector<uint64_t> keys(n);
   parallel_for(0, static_cast<int64_t>(n), [&](int64_t i) {
-    keys[static_cast<std::size_t>(i)] =
-        hash64(seed, static_cast<uint64_t>(i));
+    perm[static_cast<std::size_t>(i)] = static_cast<uint32_t>(i);
   });
-  parallel_sort_by_key(std::span<uint32_t>(perm), keys);
+  sort_by_key_then_id(perm, [&](uint32_t i) { return hash64(seed, i); });
   return perm;
 }
 

@@ -3,10 +3,10 @@
 // polylogarithmic").
 //
 // random_permutation() is deterministic in (n, seed) and independent of the
-// worker count: every element gets a 64-bit counter-based hash key and the
-// elements are sorted by (key, index). This is how a fixed pi is shared
-// between the sequential and parallel algorithms so they return identical
-// results.
+// worker count: every element gets a 64-bit counter-based hash key, never
+// tied since hash64 is a bijection in the index, and the elements are sorted
+// by key. This is how a fixed pi is shared between the sequential and
+// parallel algorithms so they return identical results.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,8 @@ std::vector<uint32_t> invert_permutation(std::span<const uint32_t> perm);
 bool is_valid_permutation(std::span<const uint32_t> perm);
 
 /// Sorts `items` in parallel by a uint64 key with index tie-breaking:
-/// stable result determined only by the key function. Used internally by
-/// random_permutation and exposed for the generators.
+/// stable result determined only by the key function. For keys that can
+/// tie (the priority sources); random_permutation's keys cannot.
 void parallel_sort_by_key(std::span<uint32_t> items,
                           const std::vector<uint64_t>& keys);
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "generators/generators.hpp"
@@ -104,13 +106,17 @@ TEST(CsrGraph, FromEdgesNormalizes) {
   EXPECT_TRUE(validate_csr(g).empty());
 }
 
-TEST(CsrGraph, AssumeNormalizedSkipsCleanupSafely) {
+TEST(CsrGraph, CanonicalInputSkipsCleanupSafely) {
+  // Canonical input is built as is, and gives the graph that normalizing
+  // it first gives.
   EdgeList el(4);
   el.add(0, 1);
   el.add(0, 2);
   el.add(1, 3);
-  const CsrGraph fast = CsrGraph::from_edges(el, /*assume_normalized=*/true);
-  const CsrGraph slow = CsrGraph::from_edges(el, /*assume_normalized=*/false);
+  ASSERT_EQ(first_noncanonical_edge(el.edges(), el.num_vertices()),
+            el.num_edges());
+  const CsrGraph fast = CsrGraph::from_edges(el);
+  const CsrGraph slow = CsrGraph::from_edges(normalize_edges(el));
   EXPECT_EQ(fast.num_edges(), slow.num_edges());
   EXPECT_TRUE(validate_csr(fast).empty());
 }
@@ -160,7 +166,9 @@ TEST(CsrGraph, RoundTripThroughEdgeSpan) {
   const CsrGraph g = CsrGraph::from_edges(random_graph_nm(300, 1'000, 5));
   EdgeList copy(g.num_vertices());
   for (const Edge& e : g.edges()) copy.add(e.u, e.v);
-  const CsrGraph h = CsrGraph::from_edges(copy, /*assume_normalized=*/true);
+  ASSERT_EQ(first_noncanonical_edge(copy.edges(), copy.num_vertices()),
+            copy.num_edges());
+  const CsrGraph h = CsrGraph::from_edges(copy);
   ASSERT_EQ(h.num_edges(), g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) EXPECT_EQ(h.edge(e), g.edge(e));
   for (VertexId v = 0; v < g.num_vertices(); ++v)
@@ -184,6 +192,82 @@ TEST(CsrGraph, BuilderSerialAndParallelAgree) {
     EXPECT_EQ(serial.edge(e), parallel.edge(e));
   EXPECT_TRUE(std::equal(serial.adjacency().begin(), serial.adjacency().end(),
                          parallel.adjacency().begin()));
+}
+
+// A canonical edge list (u < v < n, strictly increasing) goes straight to
+// the CSR build; anything else is normalized first. Each variant below
+// plants exactly one defect in a canonical list longer than 2^16 edges,
+// where the canonical check runs in parallel blocks, and must build the
+// same graph as normalizing it first.
+void expect_same_csr(const CsrGraph& a, const CsrGraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_TRUE(std::equal(a.edges().begin(), a.edges().end(),
+                         b.edges().begin()));
+  EXPECT_TRUE(std::equal(a.offsets().begin(), a.offsets().end(),
+                         b.offsets().begin()));
+  EXPECT_TRUE(std::equal(a.adjacency().begin(), a.adjacency().end(),
+                         b.adjacency().begin()));
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    const auto ia = a.incident_edges(v);
+    const auto ib = b.incident_edges(v);
+    ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin())) << "vertex " << v;
+  }
+}
+
+TEST(CsrGraph, FromEdgesDetectsOneDefectInLargeCanonicalInput) {
+  const EdgeList canonical = random_graph_nm(20'000, 100'000, 11);
+  const std::vector<Edge> base(canonical.edges().begin(),
+                               canonical.edges().end());
+  ASSERT_GT(base.size(), std::size_t{1} << 16);
+  constexpr std::size_t kStraddle = std::size_t{1} << 16;
+
+  std::vector<std::pair<const char*, std::vector<Edge>>> variants;
+  {
+    std::vector<Edge> dup = base;
+    dup.insert(dup.begin() + 70'000, dup[70'000]);
+    variants.emplace_back("duplicate", std::move(dup));
+  }
+  {
+    std::vector<Edge> reversed = base;
+    std::swap(reversed[40'000].u, reversed[40'000].v);
+    variants.emplace_back("reversed pair", std::move(reversed));
+  }
+  {
+    std::vector<Edge> loop = base;
+    const VertexId u = loop[90'000].u;
+    loop.insert(loop.begin() + 90'000, Edge{u, u});
+    variants.emplace_back("self-loop", std::move(loop));
+  }
+  {
+    std::vector<Edge> swapped = base;
+    std::swap(swapped[kStraddle - 1], swapped[kStraddle]);
+    variants.emplace_back("out-of-order pair", std::move(swapped));
+  }
+
+  for (const int workers : {1, 4}) {
+    ScopedNumWorkers guard(workers);
+    const CsrGraph reference = CsrGraph::from_edges(canonical);
+    EXPECT_TRUE(validate_csr(reference).empty());
+    for (const auto& [name, edges] : variants) {
+      SCOPED_TRACE(std::string(name) + " at workers " +
+                   std::to_string(workers));
+      const EdgeList el(canonical.num_vertices(), edges);
+      const CsrGraph built = CsrGraph::from_edges(el);
+      EXPECT_TRUE(validate_csr(built).empty());
+      expect_same_csr(built, CsrGraph::from_edges(normalize_edges(el)));
+      // Every planted defect normalizes away: the original graph again.
+      expect_same_csr(built, reference);
+    }
+    // Still in canonical order, but v == n: must fail, not build.
+    std::vector<Edge> out_of_range = base;
+    out_of_range.push_back(Edge{
+        base.back().u, static_cast<VertexId>(canonical.num_vertices())});
+    EXPECT_THROW(CsrGraph::from_edges(EdgeList(canonical.num_vertices(),
+                                               std::move(out_of_range))),
+                 CheckFailure)
+        << "workers " << workers;
+  }
 }
 
 // ------------------------------------------------------------- validator ---

@@ -159,6 +159,33 @@ TEST(Normalize, SerialAndParallelAgree) {
     EXPECT_EQ(serial.edges()[i], parallel.edges()[i]);
 }
 
+TEST(FirstNoncanonicalEdge, NamesTheFirstDefect) {
+  const std::vector<Edge> good{{0, 1}, {0, 3}, {1, 2}, {2, 3}};
+  EXPECT_EQ(first_noncanonical_edge(good, 4), good.size());
+  EXPECT_EQ(first_noncanonical_edge({}, 0), 0u);
+  const auto with = [&](std::size_t i, Edge e) {
+    std::vector<Edge> edges = good;
+    edges[i] = e;
+    return first_noncanonical_edge(edges, 4);
+  };
+  EXPECT_EQ(with(0, Edge{1, 0}), 0u);  // reversed
+  EXPECT_EQ(with(2, Edge{2, 2}), 2u);  // self-loop
+  EXPECT_EQ(with(3, Edge{2, 4}), 3u);  // endpoint == n
+  EXPECT_EQ(with(1, Edge{0, 1}), 1u);  // duplicate of its predecessor
+  EXPECT_EQ(with(2, Edge{0, 2}), 2u);  // below its predecessor
+  // Two defects: the first one is named, at every worker count.
+  std::vector<Edge> big;
+  for (VertexId u = 0; u < 400; ++u)
+    for (VertexId v = u + 1; v < u + 300; ++v) big.push_back(Edge{u, v});
+  ASSERT_GT(big.size(), std::size_t{1} << 16);
+  big[70'000] = Edge{5, 5};
+  big[90'000] = big[89'999];
+  for (const int workers : {1, 4}) {
+    ScopedNumWorkers guard(workers);
+    EXPECT_EQ(first_noncanonical_edge(big, 1'000), 70'000u);
+  }
+}
+
 TEST(SortEdges, SortsLexicographically) {
   ScopedNumWorkers guard(4);
   std::vector<Edge> edges;
@@ -171,6 +198,25 @@ TEST(SortEdges, SortsLexicographically) {
   sort_edges(edges, 300);
   EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
   EXPECT_EQ(edges, expect);
+}
+
+TEST(SortEdges, LargeInputsMatchStdSort) {
+  // Above the 2^16 threshold of the bucketed path: a dense list (long runs
+  // of one u, duplicates) and one whose ids are far sparser than its edges.
+  for (const uint64_t n : {uint64_t{1'000}, uint64_t{1} << 31}) {
+    std::vector<Edge> edges;
+    for (uint32_t i = 0; i < 100'000; ++i)
+      edges.push_back(Edge{static_cast<VertexId>(hash64(4, 2 * i) % n),
+                           static_cast<VertexId>(hash64(4, 2 * i + 1) % n)});
+    std::vector<Edge> expect = edges;
+    std::sort(expect.begin(), expect.end());
+    for (const int workers : {1, 4}) {
+      ScopedNumWorkers guard(workers);
+      std::vector<Edge> got = edges;
+      sort_edges(got, n);
+      EXPECT_EQ(got, expect) << "n " << n << " workers " << workers;
+    }
+  }
 }
 
 TEST(SortEdges, EmptyAndSingle) {
