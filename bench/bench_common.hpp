@@ -104,30 +104,6 @@ inline std::string json_dir() {
   return env_string("PARGREEDY_JSON_DIR", "");
 }
 
-/// Directory for Chrome-trace capture, or "" when disabled. Setting
-/// PARGREEDY_TRACE_DIR also auto-activates the tracer (obs/trace.hpp),
-/// so the standard bench invocation needs no code changes to produce
-/// TRACE_<bench>.json next to BENCH_<bench>.json.
-inline std::string trace_dir() {
-  return env_string("PARGREEDY_TRACE_DIR", "");
-}
-
-/// Rewrites <dir>/TRACE_<bench>.json with everything traced so far (same
-/// temp-then-rename discipline as the BENCH capture). No-op unless
-/// PARGREEDY_TRACE_DIR is set and the obs layer is compiled in.
-inline void emit_trace(const std::string& bench) {
-#if PARGREEDY_OBS
-  const std::string dir = trace_dir();
-  if (dir.empty()) return;
-  const std::string path = dir + "/TRACE_" + bench + ".json";
-  if (!obs::Tracer::global().write_file(path))
-    std::cerr << "pargreedy: cannot write TRACE_" << bench << ".json under "
-              << dir << "\n";
-#else
-  (void)bench;
-#endif
-}
-
 /// Directory for flight-recorder event capture, or "" when disabled.
 /// Setting PARGREEDY_EVENTS_DIR also arms the failure-path dumps in the
 /// obs layer (obs/events.hpp), so one env var buys both the on-crash
@@ -162,8 +138,7 @@ inline void emit_events(const std::string& bench) {
 inline void emit(const std::string& bench, const std::string& series,
                  const Table& table) {
   table.print(std::cout, csv_output());
-  emit_trace(bench);   // independent of the JSON capture knob
-  emit_events(bench);  // likewise
+  emit_events(bench);  // independent of the JSON capture knob
   const std::string dir = json_dir();
   if (dir.empty()) return;
   static std::map<std::string, std::vector<std::pair<std::string, Table>>>
@@ -198,7 +173,6 @@ inline void emit(const std::string& bench, const std::string& series,
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     std::cerr << "pargreedy: cannot move " << tmp << " into place\n";
-  emit_trace(bench);
 }
 
 }  // namespace pargreedy::bench

@@ -18,7 +18,6 @@
 // (the container used for reproduction has a single core, so thread counts
 // above 1 only measure oversubscription overhead) — the per-algorithm work
 // counters printed after the table are the hardware-independent signal.
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -74,16 +73,9 @@ void run_workload(const bench::Workload& w, uint64_t order_seed) {
     const double pbbs_s = time_best_of(reps, [&] {
       (void)mis_prefix(relabeled, ident, window, ProfileLevel::kNone);
     });
-    // Like the paper ("we tried different implementations of Luby's
-    // algorithm and report the times for the fastest one"): time both
-    // variants and keep the minimum.
-    const double luby_s = std::min(
-        time_best_of(reps, [&] {
-          (void)luby_mis(g, order_seed + 7, ProfileLevel::kNone);
-        }),
-        time_best_of(reps, [&] {
-          (void)luby_mis_arrays(g, order_seed + 7, ProfileLevel::kNone);
-        }));
+    const double luby_s = time_best_of(reps, [&] {
+      (void)luby_mis(g, order_seed + 7, ProfileLevel::kNone);
+    });
     const double serial_s = time_best_of(reps, [&] {
       (void)mis_sequential(g, order, ProfileLevel::kNone);
     });

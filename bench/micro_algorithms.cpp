@@ -85,12 +85,6 @@ void BM_MisLuby(benchmark::State& state) {
 }
 BENCHMARK(BM_MisLuby);
 
-void BM_MisLubyArrays(benchmark::State& state) {
-  const CsrGraph& g = bench_graph();
-  for (auto _ : state) benchmark::DoNotOptimize(luby_mis_arrays(g, 5));
-}
-BENCHMARK(BM_MisLubyArrays);
-
 void BM_MisSpeculative(benchmark::State& state) {
   const CsrGraph& g = bench_graph();
   const VertexOrder& order = bench_vorder(g);

@@ -29,9 +29,9 @@
 //             JSON, engine.* /repro.* /txn.* /ring.* counters and
 //             histograms — then a final human-readable catalog.
 //
-// `--trace-out <file>` (any command) activates the scoped-span tracer and
-// writes a Chrome trace_event JSON on exit — open it in chrome://tracing
-// or https://ui.perfetto.dev (docs/OBSERVABILITY.md walks through it).
+// `--events-out <file>` (any command) writes the flight recorder's
+// retained spans and events on exit as Chrome trace_event JSON — open it
+// in https://ui.perfetto.dev (docs/OBSERVABILITY.md walks through it).
 //
 // Build & run:  ./examples/dynamic_service [command] [n [m [seed]]]
 #include <atomic>
@@ -434,17 +434,14 @@ int main(int argc, char** argv) {
            "            metric catalog\n"
            "\n"
            "options:\n"
-           "  --trace-out <file>   record scoped spans and write a Chrome\n"
-           "                       trace_event JSON on exit (open in\n"
-           "                       chrome://tracing or ui.perfetto.dev)\n"
            "  --prom-out <file>    write the metrics registry snapshot in\n"
            "                       Prometheus text exposition format on\n"
            "                       exit (per-engine labeled series\n"
            "                       included)\n"
            "  --events-out <file>  write the flight recorder's retained\n"
-           "                       events (the last ~64k structured\n"
-           "                       records with batch/txn correlation\n"
-           "                       ids) as JSON on exit\n"
+           "                       spans and events (batch/txn\n"
+           "                       correlated) on exit as a Chrome\n"
+           "                       trace JSON (open in ui.perfetto.dev)\n"
            "\n"
            "arguments:\n"
            "  n     vertex count of the random base graph (default 50000)\n"
@@ -453,15 +450,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::string trace_out;
   std::string prom_out;
   std::string events_out;
   std::vector<char*> args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-      continue;
-    }
     if (std::strcmp(argv[i], "--prom-out") == 0 && i + 1 < argc) {
       prom_out = argv[++i];
       continue;
@@ -472,15 +464,10 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-#if PARGREEDY_OBS
-  if (!trace_out.empty() && !pargreedy::obs::Tracer::global().start())
-    std::cerr << "dynamic_service: --trace-out ignored — the obs runtime "
-                 "switch is off (PARGREEDY_OBS=0 in the environment)\n";
-#else
-  if (!trace_out.empty() || !prom_out.empty() || !events_out.empty())
-    std::cerr << "dynamic_service: --trace-out/--prom-out/--events-out "
-                 "ignored — observability was compiled out "
-                 "(PARGREEDY_OBS=0)\n";
+#if !PARGREEDY_OBS
+  if (!prom_out.empty() || !events_out.empty())
+    std::cerr << "dynamic_service: --prom-out/--events-out ignored — "
+                 "observability was compiled out (PARGREEDY_OBS=0)\n";
 #endif
 
   std::size_t arg = 0;
@@ -515,15 +502,6 @@ int main(int argc, char** argv) {
                  "readers, or stats); see --help\n";
 
 #if PARGREEDY_OBS
-  if (!trace_out.empty() && pargreedy::obs::Tracer::global().active()) {
-    if (pargreedy::obs::Tracer::global().write_file(trace_out))
-      std::cout << "trace written to " << trace_out << " ("
-                << pargreedy::obs::Tracer::global().event_count()
-                << " events)\n";
-    else
-      std::cerr << "dynamic_service: failed to write trace to " << trace_out
-                << "\n";
-  }
   if (!prom_out.empty()) {
     if (pargreedy::obs::write_prometheus_file(prom_out))
       std::cout << "prometheus exposition written to " << prom_out << "\n";

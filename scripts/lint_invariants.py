@@ -459,18 +459,20 @@ def check_obs_confined(root: pathlib.Path) -> List[Violation]:
     The obs-confined invariant keeps src/ free of ad-hoc instrumentation:
     clock reads, Timer scopes, printf-family output, and direct
     flight-recorder access belong to the src/obs/ API (PG_OBS_* macros,
-    TraceSpan, MetricsRegistry) or the one shared clock helper
+    PG_OBS_SPAN* scopes, MetricsRegistry) or the one shared clock helper
     (src/support/timing.hpp) — never sprinkled through library code,
     where they would bypass the seam's compile-time and runtime gates.
-    Event emission in particular must go through PG_OBS_EVENT* /
-    PG_OBS_EVENT_DUMP, never by naming EventRecorder or record_event
-    directly (those calls would survive a PARGREEDY_OBS=0 build).
+    Span and event emission in particular must go through PG_OBS_SPAN* /
+    PG_OBS_EVENT* / PG_OBS_EVENT_DUMP, never by naming EventRecorder,
+    SpanScope or record_event directly (those calls would survive a
+    PARGREEDY_OBS=0 build).
     """
     pat = re.compile(
         r"\b(?:steady_clock|system_clock|high_resolution_clock)\b|"
         r"\b(?:fprintf|printf)\s*\(|"
         r"\bTimer\b|"
         r"\bEventRecorder\b|"
+        r"\bSpanScope\b|"
         r"\brecord_event\s*\("
     )
     out = []
@@ -486,7 +488,7 @@ def check_obs_confined(root: pathlib.Path) -> List[Violation]:
                 pat,
                 "obs-confined",
                 "ad-hoc telemetry in library code — emit metrics/spans "
-                "through the src/obs/ API (PG_OBS_* / TraceSpan) so the "
+                "through the src/obs/ API (PG_OBS_* / PG_OBS_SPAN*) so the "
                 "PARGREEDY_OBS seam gates it",
             )
         )

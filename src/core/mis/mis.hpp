@@ -76,14 +76,6 @@ MisResult mis_prefix(const CsrGraph& g, const VertexOrder& order,
 MisResult luby_mis(const CsrGraph& g, uint64_t seed,
                    ProfileLevel level = ProfileLevel::kNone);
 
-/// Luby's Algorithm A, the classical array-based formulation: each round
-/// materializes a fresh priority array for the live vertices. Computes the
-/// SAME MIS as luby_mis for the same seed (same priority values, stored
-/// instead of recomputed); exists as the second implementation behind the
-/// paper's "we tried different implementations of Luby's algorithm".
-MisResult luby_mis_arrays(const CsrGraph& g, uint64_t seed,
-                          ProfileLevel level = ProfileLevel::kNone);
-
 /// Algorithm 3 expressed through the generic deterministic-reservations
 /// engine (speculative_for). Identical result to mis_sequential; round
 /// counts may differ from mis_prefix (see mis_specfor.cpp).

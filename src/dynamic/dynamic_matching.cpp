@@ -199,9 +199,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   // for the duration of the batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
   PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
-  PG_OBS_SPAN1(span_batch, "apply_batch", "matching", "batch_size",
-               batch.size());
-  PG_OBS_EVENT1(kBatchBegin, batch.size());
+  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
   const uint64_t n = num_vertices();
   PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
   BatchStats stats;
@@ -308,8 +306,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   ++epoch_;
   lifetime_stats_.accumulate(stats);
   obs_accumulate_batch(stats, "matching", n);
-  PG_OBS_EVENT2(kBatchEnd, stats.rounds, stats.changed);
-  PG_OBS_SPAN_ARG(span_batch, "rounds", stats.rounds);
+  PG_OBS_SPAN_OUT2(span_batch, stats.rounds, stats.changed);
   return stats;
 }
 

@@ -96,8 +96,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   // The engine is the overlay's writer for the scope of this batch.
   support::RoleScope overlay_writer(graph_.writer_role_);
   PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
-  PG_OBS_SPAN1(span_batch, "apply_batch", "mis", "batch_size", batch.size());
-  PG_OBS_EVENT1(kBatchBegin, batch.size());
+  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
   const uint64_t n = num_vertices();
   PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
   BatchStats stats;
@@ -182,8 +181,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   ++epoch_;
   lifetime_stats_.accumulate(stats);
   obs_accumulate_batch(stats, "mis", n);
-  PG_OBS_EVENT2(kBatchEnd, stats.rounds, stats.changed);
-  PG_OBS_SPAN_ARG(span_batch, "rounds", stats.rounds);
+  PG_OBS_SPAN_OUT2(span_batch, stats.rounds, stats.changed);
   return stats;
 }
 

@@ -340,8 +340,7 @@ void OverlayGraph::compact() {
                "compact() is forbidden while an undo journal is attached "
                "(slot reassignment has no cheap inverse)");
   PG_OBS_COUNT(obs::kOverlayCompactions, 1);
-  PG_OBS_SPAN2(span_compact, "compact", "overlay", "live_edges", live_edges_,
-               "extra", extra_edges_.size());
+  PG_OBS_SPAN2(span_compact, kCompact, live_edges_, extra_edges_.size());
   base_ = to_csr();  // carries slot weights into the new base when weighted
   base_dead_.assign(base_.num_edges(), 0);
   extra_edges_.clear();

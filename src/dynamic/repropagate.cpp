@@ -80,7 +80,7 @@ void obs_accumulate_batch(const BatchStats& stats, const char* engine_label,
     // bit_width(n) is ceil(log2 n) up to rounding — stable, cheap, and
     // monotone in n, which is all a health ratio needs.
     const uint64_t bound = std::bit_width(num_vertices);
-    const uint64_t permille = stats.rounds * 1000 / bound;
+    [[maybe_unused]] const uint64_t permille = stats.rounds * 1000 / bound;
     PG_OBS_GAUGE(obs::kReproDepthRatio, permille);
     PG_OBS_HIST(obs::kReproDepthRatioDist, permille);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 
 #include "support/env.hpp"
@@ -24,32 +25,50 @@ uint64_t next_batch_id() noexcept {
 
 }  // namespace detail
 
-const char* event_kind_name(EventKind kind) noexcept {
-  switch (kind) {
-    case EventKind::kBatchBegin:
-      return "batch.begin";
-    case EventKind::kBatchEnd:
-      return "batch.end";
-    case EventKind::kReproRound:
-      return "repro.round";
-    case EventKind::kTxnBegin:
-      return "txn.begin";
-    case EventKind::kTxnCommit:
-      return "txn.commit";
-    case EventKind::kTxnAbort:
-      return "txn.abort";
-    case EventKind::kTxnEpochFail:
-      return "txn.epoch_fail";
-    case EventKind::kDump:
-      return "events.dump";
-    case EventKind::kKindCount:
-      break;
-  }
-  return "unknown";
+namespace {
+
+/// One catalog entry: the kind's name and the names of its two payload
+/// words on a begin/instant record (`args`) and on an end record (`out`);
+/// nullptr = the word is unused and not exported.
+struct KindInfo {
+  const char* name;
+  const char* args[2];
+  const char* out[2];
+};
+
+// Indexed by EventKind.
+constexpr KindInfo kKinds[] = {
+    {"apply_batch", {"batch_size", nullptr}, {"rounds", "changed"}},
+    {"repropagate", {"seeds", nullptr}, {"rounds", nullptr}},
+    {"decide", {"round", "frontier"}, {nullptr, nullptr}},
+    {"commit", {"round", "flipped"}, {nullptr, nullptr}},
+    {"expand", {"round", nullptr}, {"next_frontier", nullptr}},
+    {"compact", {"live_edges", "extra"}, {nullptr, nullptr}},
+    {"txn.begin", {nullptr, nullptr}, {nullptr, nullptr}},
+    {"txn.apply", {"batch_size", nullptr}, {nullptr, nullptr}},
+    {"txn.rollback_to", {nullptr, nullptr}, {nullptr, nullptr}},
+    {"txn.commit", {"journal_records", nullptr}, {nullptr, nullptr}},
+    {"txn.abort", {"journal_records", "explicit"}, {nullptr, nullptr}},
+    {"txn.epoch_fail", {"seen", "expected"}, {nullptr, nullptr}},
+    {"events.dump", {nullptr, nullptr}, {nullptr, nullptr}},
+};
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(EventKind::kKindCount));
+
+const KindInfo& kind_info(uint16_t kind) noexcept {
+  static constexpr KindInfo kUnknown{"unknown", {nullptr, nullptr},
+                                     {nullptr, nullptr}};
+  return kind < std::size(kKinds) ? kKinds[kind] : kUnknown;
 }
 
-void EventRecorder::record(EventKind kind, uint64_t arg0,
-                           uint64_t arg1) noexcept {
+}  // namespace
+
+const char* event_kind_name(EventKind kind) noexcept {
+  return kind_info(static_cast<uint16_t>(kind)).name;
+}
+
+void EventRecorder::record(EventKind kind, uint64_t arg0, uint64_t arg1,
+                           Phase phase) noexcept {
   Ring& ring = thread_ring();
   // Only the owning thread writes seq, so the load-modify-store below is
   // single-writer; relaxed publication is all a quiescent merge needs.
@@ -63,6 +82,7 @@ void EventRecorder::record(EventKind kind, uint64_t arg0,
   slot.arg1 = arg1;
   slot.kind = static_cast<uint16_t>(kind);
   slot.tid = ring.tid;
+  slot.phase = static_cast<uint8_t>(phase);
   ring.seq.store(seq + 1, std::memory_order_relaxed);
 }
 
@@ -118,18 +138,36 @@ void EventRecorder::clear() {
 
 void EventRecorder::write_json(std::ostream& out,
                                const std::string& reason) const {
-  out << "{\"schema\": \"pargreedy-events-v2\", \"reason\": \"";
+  out << "{\"schema\": \"pargreedy-events-v3\", \"reason\": \"";
   for (char ch : reason) {
     if (ch == '"' || ch == '\\') out << '\\';
     out << ch;
   }
-  out << "\", \"overwritten\": " << overwritten() << ", \"events\": [\n";
+  out << "\", \"overwritten\": " << overwritten()
+      << ", \"traceEvents\": [\n";
+  // Spans open per thread. Ring wrap-around loses a prefix of each ring,
+  // so an end record whose begin was lost arrives while its thread has
+  // no span open: drop it, and every exported end closes a begin.
+  std::vector<uint64_t> open;
   const char* sep = "";
   for (const EventRecord& e : merged()) {
-    out << sep << "  {\"ts\": " << e.ts_us << ", \"tid\": " << e.tid
-        << ", \"kind\": \"" << event_kind_name(static_cast<EventKind>(e.kind))
-        << "\", \"batch_id\": " << e.batch_id << ", \"txn_id\": " << e.txn_id
-        << ", \"arg0\": " << e.arg0 << ", \"arg1\": " << e.arg1 << "}";
+    if (e.tid >= open.size()) open.resize(e.tid + std::size_t{1}, 0);
+    const Phase phase = static_cast<Phase>(e.phase);
+    if (phase == Phase::kBegin) ++open[e.tid];
+    if (phase == Phase::kEnd) {
+      if (open[e.tid] == 0) continue;
+      --open[e.tid];
+    }
+    const KindInfo& info = kind_info(e.kind);
+    const char* const* names = phase == Phase::kEnd ? info.out : info.args;
+    out << sep << "  {\"name\": \"" << info.name << "\", \"ph\": \""
+        << static_cast<char>(e.phase) << "\", \"ts\": " << e.ts_us
+        << ", \"pid\": 1, \"tid\": " << e.tid
+        << ", \"args\": {\"batch_id\": " << e.batch_id
+        << ", \"txn_id\": " << e.txn_id;
+    if (names[0] != nullptr) out << ", \"" << names[0] << "\": " << e.arg0;
+    if (names[1] != nullptr) out << ", \"" << names[1] << "\": " << e.arg1;
+    out << "}}";
     sep = ",\n";
   }
   out << "\n]}\n";

@@ -1,12 +1,12 @@
 // Wall-clock timing utilities used by the bench harness, the examples,
-// and the observability tracer.
+// and the observability flight recorder.
 //
 // Everything in the repo that timestamps measures against ONE clock:
 // `TimingClock` (std::chrono::steady_clock) with a process-wide origin
 // fixed on first use (`timing_origin()`). `Timer` (bench phase timing,
-// time_best_of) and the obs tracer's span timestamps
+// time_best_of) and the flight recorder's timestamps
 // (`micros_since_origin()`) both read it, so a bench phase duration and
-// the trace spans recorded inside it are directly comparable — no
+// the spans recorded inside it are directly comparable — no
 // cross-clock skew, no duplicated clock arithmetic.
 #pragma once
 
@@ -28,7 +28,7 @@ inline TimingClock::time_point timing_origin() noexcept {
 }
 
 /// Microseconds elapsed since timing_origin() — the timestamp unit of the
-/// Chrome trace_event format the obs tracer emits.
+/// Chrome trace_event format the flight recorder dumps.
 inline uint64_t micros_since_origin() noexcept {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -179,13 +179,12 @@ class Transaction {
     check_epoch();
     PG_OBS_COUNT(obs::kTxnBegin, 1);
     PG_OBS_COUNT_L(obs::kTxnBegin, "engine", Traits::kName, 1);
-    PG_OBS_SPAN(span_begin, "txn.begin", "txn");
+    ++txn_id_;
+    PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
+    PG_OBS_SPAN(span_begin, kTxnBegin);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_attach(&journal_);
     active_ = true;
-    ++txn_id_;
-    PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_EVENT1(kTxnBegin, txn_id_);
     base_ = engine_.txn_mark();
     txn_stats_ = BatchStats{};
     rollback_marks_.clear();
@@ -198,7 +197,8 @@ class Transaction {
     PG_CHECK_MSG(active_, "apply() outside begin()");
     PG_OBS_COUNT(obs::kTxnApply, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_SPAN1(span_apply, "txn.apply", "txn", "batch_size", batch.size());
+    PG_OBS_BATCH_SCOPE(corr_batch);  // the engine's apply_batch inherits it
+    PG_OBS_SPAN1(span_apply, kTxnApply, batch.size());
     support::RoleScope engine_writer(engine_.writer_role_);
     const BatchStats stats = engine_.apply_batch(batch);
     txn_stats_.accumulate(stats);
@@ -244,7 +244,8 @@ class Transaction {
           "rewound past it");
     }
     PG_OBS_COUNT(obs::kTxnRollbackTo, 1);
-    PG_OBS_SPAN(span_rollback, "txn.rollback_to", "txn");
+    PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
+    PG_OBS_SPAN(span_rollback, kTxnRollbackTo);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(snapshot.mark);
     rollback_marks_.emplace_back(snapshot.mark.engine_records,
@@ -261,8 +262,7 @@ class Transaction {
     PG_OBS_COUNT(obs::kTxnCommit, 1);
     PG_OBS_COUNT_L(obs::kTxnCommit, "engine", Traits::kName, 1);
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_EVENT1(kTxnCommit, journal_.engine.size() - base_.engine_records);
-    PG_OBS_SPAN1(span_commit, "txn.commit", "txn", "journal_records",
+    PG_OBS_SPAN1(span_commit, kTxnCommit,
                  journal_.engine.size() - base_.engine_records);
     support::RoleScope engine_writer(engine_.writer_role_);
     support::RoleScope published_writer(published_.writer_role_);
@@ -347,9 +347,9 @@ class Transaction {
       PG_OBS_COUNT(obs::kTxnAbortDestructor, 1);
     }
     PG_OBS_TXN_SCOPE(corr_txn, txn_id_);
-    PG_OBS_EVENT1(kTxnAbort, cause == AbortCause::kExplicit ? 1 : 0);
-    PG_OBS_SPAN1(span_abort, "txn.abort", "txn", "journal_records",
-                 journal_.engine.size() - base_.engine_records);
+    PG_OBS_SPAN2(span_abort, kTxnAbort,
+                 journal_.engine.size() - base_.engine_records,
+                 cause == AbortCause::kExplicit ? 1 : 0);
     support::RoleScope engine_writer(engine_.writer_role_);
     engine_.txn_rollback(base_);
     engine_.txn_detach();

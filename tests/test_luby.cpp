@@ -26,7 +26,9 @@ CsrGraph luby_family(int which) {
     case 3: return CsrGraph::from_edges(star_graph(300));
     case 4: return CsrGraph::from_edges(complete_graph(50));
     case 5: return CsrGraph::from_edges(grid_graph(25, 25));
-    default: return CsrGraph::from_edges(binary_tree(511));
+    case 6: return CsrGraph::from_edges(binary_tree(511));
+    case 7: return CsrGraph::from_edges(random_geometric(600, 0.05, 5));
+    default: return CsrGraph::from_edges(watts_strogatz(500, 6, 0.3, 5));
   }
 }
 
@@ -38,7 +40,7 @@ TEST_P(LubyFamilies, ReturnsAValidMis) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, LubyFamilies, ::testing::Range(0, 7));
+INSTANTIATE_TEST_SUITE_P(Families, LubyFamilies, ::testing::Range(0, 9));
 
 TEST(Luby, DeterministicInSeedAcrossWorkerCounts) {
   const CsrGraph g = CsrGraph::from_edges(random_graph_nm(2'000, 8'000, 3));

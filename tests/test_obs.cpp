@@ -1,10 +1,12 @@
 // Unit tests for the observability layer (src/obs/): histogram bucket
 // boundaries and percentile math, registry snapshot-under-mutation, span
-// nesting and cross-thread merge, and both halves of the PARGREEDY_OBS
+// nesting and cross-thread merge in the flight-recorder ring, its Chrome
+// trace dump, and both halves of the PARGREEDY_OBS
 // seam (runtime switch here; the compile-time no-op TU is
 // test_obs_disabled_seam.cpp, linked into this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -15,13 +17,17 @@
 #include <vector>
 
 #include "dynamic/batch_stats.hpp"
+#include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/prometheus.hpp"
 #include "parallel/arch.hpp"
+#include "txn/transaction.hpp"
 
 namespace pargreedy::obs {
 
@@ -30,6 +36,16 @@ namespace pargreedy::obs {
 void emit_disabled_seam_probes();
 
 namespace {
+
+// Tests of what the PG_OBS_* sites record. A -DPARGREEDY_OBS=OFF build
+// compiles the sites to nothing, so it skips these; the registry and
+// recorder tests below still run there, and ObsSeam checks the no-ops.
+#define SKIP_IF_OBS_COMPILED_OUT() \
+  if (!PARGREEDY_OBS) GTEST_SKIP() << "PARGREEDY_OBS=0 build"
+
+uint64_t counter_value(const char* name) {
+  return MetricsRegistry::global().counter_value(name);
+}
 
 TEST(ObsHistogram, BucketIndexBoundaries) {
   // Bucket 0 holds exactly the value 0; bucket i >= 1 holds
@@ -155,6 +171,7 @@ TEST(ObsRegistry, JsonShape) {
 }
 
 TEST(ObsRuntime, SwitchGatesMacros) {
+  SKIP_IF_OBS_COMPILED_OUT();
   set_enabled(true);
   PG_OBS_COUNT("test.runtime.gate", 1);
   const uint64_t after_on = counter_value("test.runtime.gate");
@@ -168,66 +185,118 @@ TEST(ObsRuntime, SwitchGatesMacros) {
   EXPECT_EQ(counter_value("test.runtime.gate"), after_on + 1);
 }
 
-TEST(ObsRuntime, TracerRefusesWhenDisabled) {
-  set_enabled(false);
-  EXPECT_FALSE(Tracer::global().start());
-  set_enabled(true);
-  EXPECT_TRUE(Tracer::global().start());
-  Tracer::global().stop();
-  Tracer::global().clear();
+// The (kind, phase, arg0, arg1) of every record, in merged order.
+using Stream = std::vector<std::tuple<uint16_t, uint8_t, uint64_t, uint64_t>>;
+
+Stream stream_of(const std::vector<EventRecord>& events) {
+  Stream out;
+  for (const EventRecord& e : events)
+    out.emplace_back(e.kind, e.phase, e.arg0, e.arg1);
+  return out;
+}
+
+std::tuple<uint16_t, uint8_t, uint64_t, uint64_t> entry(EventKind kind,
+                                                        Phase phase,
+                                                        uint64_t arg0 = 0,
+                                                        uint64_t arg1 = 0) {
+  return {static_cast<uint16_t>(kind), static_cast<uint8_t>(phase), arg0,
+          arg1};
 }
 
 TEST(ObsTrace, SpanNestingAndThreadMerge) {
+  SKIP_IF_OBS_COMPILED_OUT();
   set_enabled(true);
-  auto& tracer = Tracer::global();
-  tracer.clear();
-  ASSERT_TRUE(tracer.start());
+  auto& recorder = EventRecorder::global();
+  recorder.clear();
   {
-    TraceSpan outer("outer", "test", "depth", 0);
+    PG_OBS_SPAN1(outer, kRepropagate, 3);
     {
-      TraceSpan inner("inner", "test", "depth", 1);
-      trace_instant("tick", "test", "n", 7);
+      PG_OBS_SPAN2(inner, kDecide, 1, 12);
     }
+    PG_OBS_SPAN_OUT1(outer, 2);
   }
-  std::thread worker([] {
-    TraceSpan span("worker_span", "test");
-  });
+  std::thread worker([] { PG_OBS_SPAN1(span, kExpand, 4); });
   worker.join();
-  tracer.stop();
 
-  EXPECT_GE(tracer.event_count(), 4u);
+  std::vector<EventRecord> mine, theirs;
+  for (const EventRecord& e : recorder.merged())
+    (e.kind == static_cast<uint16_t>(EventKind::kExpand) ? theirs : mine)
+        .push_back(e);
+  // RAII order with the args: begins carry inputs, the end the output.
+  EXPECT_EQ(stream_of(mine),
+            (Stream{entry(EventKind::kRepropagate, Phase::kBegin, 3),
+                    entry(EventKind::kDecide, Phase::kBegin, 1, 12),
+                    entry(EventKind::kDecide, Phase::kEnd),
+                    entry(EventKind::kRepropagate, Phase::kEnd, 2)}));
+  // The worker's span merged from its own ring, under its own tid.
+  ASSERT_EQ(stream_of(theirs),
+            (Stream{entry(EventKind::kExpand, Phase::kBegin, 4),
+                    entry(EventKind::kExpand, Phase::kEnd)}));
+  EXPECT_EQ(theirs[0].tid, theirs[1].tid);
+  for (const EventRecord& e : mine) EXPECT_NE(e.tid, theirs[0].tid);
   std::ostringstream out;
-  tracer.write_chrome_trace(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  for (const char* name : {"outer", "inner", "tick", "worker_span"}) {
-    EXPECT_NE(json.find(std::string("\"name\": \"") + name + "\""),
-              std::string::npos)
-        << name;
-  }
-  // The worker thread's buffer merged under its own tid with metadata.
-  EXPECT_NE(json.find("obs-thread-1"), std::string::npos);
-  // RAII closed inner before outer: both are complete events with args.
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"depth\": 1"), std::string::npos);
-  // Registered counters ride along as Chrome "C" events.
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(json.find("trace.dropped"), std::string::npos);
+  recorder.write_json(out);
+  EXPECT_NE(out.str().find("{\"name\": \"expand\", \"ph\": \"B\", \"ts\": " +
+                           std::to_string(theirs[0].ts_us) +
+                           ", \"pid\": 1, \"tid\": " +
+                           std::to_string(theirs[0].tid)),
+            std::string::npos);
+  recorder.clear();
+}
 
-  tracer.clear();
-  EXPECT_EQ(tracer.event_count(), 0u);
+TEST(ObsTrace, OrphanedEndIsDropped) {
+  set_enabled(true);
+  static EventRecorder recorder;  // static: thread ring caches outlive it
+  recorder.clear();
+  // The repropagate begin is overwritten by ring wrap-around before its
+  // end is recorded; the decide pair inside the window survives whole,
+  // and the commit span is still open at the dump.
+  recorder.record(EventKind::kRepropagate, 5, 0, Phase::kBegin);
+  for (std::size_t i = 0; i < EventRecorder::kRingCapacity; ++i)
+    recorder.record(EventKind::kTxnEpochFail, i, 0);
+  recorder.record(EventKind::kDecide, 1, 9, Phase::kBegin);
+  recorder.record(EventKind::kDecide, 0, 0, Phase::kEnd);
+  recorder.record(EventKind::kRepropagate, 2, 0, Phase::kEnd);
+  recorder.record(EventKind::kCommit, 1, 3, Phase::kBegin);
+  EXPECT_EQ(recorder.overwritten(), 5u);
+
+  std::ostringstream out;
+  recorder.write_json(out, "mid_span");
+  const std::string json = out.str();
+  EXPECT_EQ(json.find("\"repropagate\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"decide\", \"ph\": \"E\""),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"commit\", \"ph\": \"B\""),
+            std::string::npos);
+  std::size_t ends = 0;
+  for (std::size_t at = json.find("\"ph\": \"E\""); at != std::string::npos;
+       at = json.find("\"ph\": \"E\"", at + 1))
+    ++ends;
+  EXPECT_EQ(ends, 1u);
+  recorder.clear();
 }
 
 TEST(ObsTrace, InactiveSpansRecordNothing) {
-  set_enabled(true);
-  auto& tracer = Tracer::global();
-  tracer.stop();
-  tracer.clear();
+  SKIP_IF_OBS_COMPILED_OUT();
+  auto& recorder = EventRecorder::global();
+  recorder.clear();
+  set_enabled(false);
   {
-    TraceSpan span("never_recorded", "test");
-    trace_instant("never_recorded_instant", "test");
+    PG_OBS_SPAN(span, kCompact);
+    // Arming happens once, at the begin: a span opened while off records
+    // no end either, so the stream never holds an unmatched end.
+    set_enabled(true);
   }
-  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_EQ(recorder.event_count(), 0u);
+  {
+    PG_OBS_SPAN(span, kCompact);
+    set_enabled(false);
+  }
+  set_enabled(true);
+  EXPECT_EQ(stream_of(recorder.merged()),
+            (Stream{entry(EventKind::kCompact, Phase::kBegin),
+                    entry(EventKind::kCompact, Phase::kEnd)}));
+  recorder.clear();
 }
 
 TEST(ObsLabels, LabeledNameCanonicalForm) {
@@ -252,6 +321,7 @@ TEST(ObsLabels, SplitLabelsRoundTrip) {
 }
 
 TEST(ObsLabels, LabeledSeriesAreDistinctAndAdditive) {
+  SKIP_IF_OBS_COMPILED_OUT();
   set_enabled(true);
   auto& reg = MetricsRegistry::global();
   // The macro contract: labeled bumps ride ALONGSIDE the unlabeled base
@@ -304,7 +374,7 @@ TEST(ObsEvents, RingOverflowAccounting) {
   static EventRecorder rec;  // static: thread ring caches outlive the test
   constexpr std::size_t kOverflow = 37;
   for (std::size_t i = 0; i < EventRecorder::kRingCapacity + kOverflow; ++i)
-    rec.record(EventKind::kReproRound, i, 0);
+    rec.record(EventKind::kTxnEpochFail, i, 0);
   EXPECT_EQ(rec.event_count(), EventRecorder::kRingCapacity);
   EXPECT_EQ(rec.overwritten(), kOverflow);
   const auto events = rec.merged();
@@ -333,9 +403,9 @@ TEST(ObsEvents, CorrelationScopesNestAndRestore) {
       BatchScope inner;
       EXPECT_EQ(current_batch_id(), outer_id);
       TxnScope txn(42);
-      rec.record(EventKind::kReproRound, 7, 0);
+      rec.record(EventKind::kTxnEpochFail, 7, 0);
     }
-    rec.record(EventKind::kBatchEnd, 0, 0);
+    rec.record(EventKind::kDump, 0, 0);
   }
   EXPECT_EQ(current_batch_id(), 0u);
   const auto events = rec.merged();
@@ -355,50 +425,85 @@ TEST(ObsEvents, JsonShape) {
   rec.clear();
   {
     TxnScope txn(5);
-    rec.record(EventKind::kReproRound, 1, 64);
+    rec.record(EventKind::kApplyBatch, 64, 0, Phase::kBegin);
+    rec.record(EventKind::kApplyBatch, 2, 9, Phase::kEnd);
   }
-  rec.record(EventKind::kTxnAbort, 1, 0);
+  rec.record(EventKind::kTxnEpochFail, 3, 4);
   std::ostringstream out;
   rec.write_json(out, "unit_test");
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema\": \"pargreedy-events-v2\""),
+  // A Chrome trace_event object: one traceEvents array, one event per
+  // line, each with the B/E/i phase and its args named by the catalog
+  // (a phase's unused payload words are left out).
+  EXPECT_EQ(json.rfind("{\"schema\": \"pargreedy-events-v3\", "
+                       "\"reason\": \"unit_test\", \"overwritten\": 0, "
+                       "\"traceEvents\": [\n",
+                       0),
+            0u);
+  EXPECT_EQ(json.substr(json.size() - 4), "\n]}\n");
+  const auto line = [](const char* name, char ph) {
+    return std::string("{\"name\": \"") + name + "\", \"ph\": \"" + ph + "\"";
+  };
+  EXPECT_NE(json.find(line("apply_batch", 'B')), std::string::npos);
+  EXPECT_NE(json.find(line("apply_batch", 'E')), std::string::npos);
+  EXPECT_NE(json.find(line("txn.epoch_fail", 'i')), std::string::npos);
+  EXPECT_NE(json.find("\"txn_id\": 5, \"batch_size\": 64}}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"reason\": \"unit_test\""), std::string::npos);
-  EXPECT_NE(json.find("\"overwritten\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"repro.round\""), std::string::npos);
-  EXPECT_NE(json.find("\"txn_id\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"txn.abort\""), std::string::npos);
+  EXPECT_NE(json.find("\"txn_id\": 5, \"rounds\": 2, \"changed\": 9}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"txn_id\": 0, \"seen\": 3, \"expected\": 4}}"),
+            std::string::npos);
   rec.clear();
 }
 
 TEST(ObsEvents, MergedStreamIsDeterministicAcrossWorkers) {
   set_enabled(true);
   // The engine-facing determinism contract: the flight-recorder stream
-  // for one deterministic workload is identical at any worker count
-  // (events record deterministic quantities from driver-synchronous
-  // code; merged() keeps per-ring recording order).
+  // for one deterministic workload — span kinds, phases and args — is
+  // identical at any worker count (records carry deterministic
+  // quantities from driver-synchronous code; merged() keeps per-ring
+  // recording order).
   auto run = [](int workers) {
     ScopedNumWorkers guard(workers);
     EventRecorder::global().clear();
-    DynamicMis dm(EngineOptions::seeded(
-        CsrGraph::from_edges(path_graph(256)), 11));
     UpdateBatch batch;
     batch.insert_edge(0, 255).insert_edge(17, 200).insert_edge(3, 128);
     batch.delete_edge(10, 11);
+    DynamicMis dm(EngineOptions::seeded(
+        CsrGraph::from_edges(path_graph(256)), 11));
     dm.apply_batch(batch);
-    std::vector<std::tuple<uint16_t, uint64_t, uint64_t>> stream;
-    for (const EventRecord& e : EventRecorder::global().merged())
-      stream.emplace_back(e.kind, e.arg0, e.arg1);
-    return stream;
+    DynamicMatching mm(EngineOptions::seeded(
+        CsrGraph::from_edges(path_graph(256)), 12));
+    MatchingTransaction txn(mm);
+    txn.begin();
+    txn.apply(batch);
+    txn.commit();
+    return stream_of(EventRecorder::global().merged());
   };
-  const auto at1 = run(1);
-  EXPECT_FALSE(at1.empty());
+  const Stream at1 = run(1);
+  if (!PARGREEDY_OBS) {
+    // Compiled out, the engines and the transaction record nothing.
+    EXPECT_TRUE(at1.empty());
+    return;
+  }
+  for (EventKind kind :
+       {EventKind::kApplyBatch, EventKind::kRepropagate, EventKind::kDecide,
+        EventKind::kCommit, EventKind::kExpand, EventKind::kTxnBegin,
+        EventKind::kTxnApply, EventKind::kTxnCommit}) {
+    for (Phase phase : {Phase::kBegin, Phase::kEnd}) {
+      EXPECT_TRUE(std::any_of(at1.begin(), at1.end(), [&](const auto& r) {
+        return std::get<0>(r) == static_cast<uint16_t>(kind) &&
+               std::get<1>(r) == static_cast<uint8_t>(phase);
+      })) << event_kind_name(kind) << " " << static_cast<char>(phase);
+    }
+  }
   EXPECT_EQ(run(2), at1);
   EXPECT_EQ(run(4), at1);
   EventRecorder::global().clear();
 }
 
 TEST(ObsHealth, DepthRatioIsPermilleOfLogN) {
+  SKIP_IF_OBS_COMPILED_OUT();
   set_enabled(true);
   Gauge& ratio = MetricsRegistry::global().gauge(kReproDepthRatio);
   // The gauge scores a batch's rounds against the Theta(log n) depth of
@@ -470,8 +575,11 @@ TEST(ObsPrometheus, ExpositionShape) {
 TEST(ObsSeam, CompiledOutTuIsNoOp) {
   set_enabled(true);
   // The probe TU was compiled with PARGREEDY_OBS=0: its PG_OBS_* macros
-  // must have expanded to nothing, so none of its metric names exist.
+  // must have expanded to nothing, so none of its metric names exist and
+  // it left no span or event in the ring.
+  EventRecorder::global().clear();
   emit_disabled_seam_probes();
+  EXPECT_EQ(EventRecorder::global().event_count(), 0u);
   auto& reg = MetricsRegistry::global();
   EXPECT_EQ(reg.counter_value("test.seam.counter"), 0u);
   bool hist_registered = false;

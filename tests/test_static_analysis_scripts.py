@@ -217,17 +217,19 @@ class SimpleRulesTest(TempDirTest):
                    "support::Timer t;\n"
                    "int n = std::snprintf(buf, sizeof buf, fmt);\n"
                    "obs::EventRecorder::global().record(k);\n"
-                   "obs::record_event(obs::EventKind::kBatchBegin);\n"
-                   "PG_OBS_EVENT(kBatchBegin);\n")
+                   "obs::record_event(obs::EventKind::kDump);\n"
+                   "PG_OBS_EVENT2(kTxnEpochFail, 1, 2);\n"
+                   "obs::SpanScope s(obs::EventKind::kDecide);\n"
+                   "PG_OBS_SPAN(span, kDecide);\n")
         v = lint.check_obs_confined(self.dir)
         # snprintf (string formatting, not telemetry output) and the
-        # sanctioned PG_OBS_EVENT macro spelling must not fire; naming the
-        # flight recorder directly must.
-        self.assertEqual([x.line for x in v], [1, 2, 3, 5, 6])
+        # sanctioned PG_OBS_EVENT / PG_OBS_SPAN macro spellings must not
+        # fire; naming the flight recorder or its span scope directly must.
+        self.assertEqual([x.line for x in v], [1, 2, 3, 5, 6, 8])
         self.assertTrue(all(x.rule == "obs-confined" for x in v))
 
     def test_obs_confined_exempts_obs_layer_and_timing(self):
-        self.write("src/obs/trace.cpp",
+        self.write("src/obs/events.cpp",
                    "auto t = std::chrono::steady_clock::now();\n")
         self.write("src/support/timing.hpp",
                    "using TimingClock = std::chrono::steady_clock;\n")
