@@ -74,6 +74,18 @@ UpdateBatch traffic(const OverlayGraph& graph, uint64_t salt,
       g_seed + salt);
 }
 
+// Why metrics and events are not being recorded, or nullptr when they
+// are: compiled out (the PARGREEDY_OBS build option) or switched off at
+// run time (PARGREEDY_OBS=0 in the environment).
+const char* obs_off_reason() {
+#if PARGREEDY_OBS
+  return obs::enabled() ? nullptr
+                        : "switched off at run time (PARGREEDY_OBS=0)";
+#else
+  return "compiled out (PARGREEDY_OBS=0)";
+#endif
+}
+
 int cmd_serve() {
   const uint64_t ticks = 20;
   Timer build_timer;
@@ -342,6 +354,11 @@ int cmd_readers() {
 }
 
 int cmd_stats() {
+  if (const char* reason = obs_off_reason()) {
+    std::cout << "stats: observability is " << reason
+              << "; nothing to report\n";
+    return 0;
+  }
 #if PARGREEDY_OBS
   const uint64_t ticks = 12;
   const CsrGraph g = make_base();
@@ -396,9 +413,7 @@ int cmd_stats() {
              ? 0
              : 1;
 #else
-  std::cout << "stats: observability is compiled out (PARGREEDY_OBS=0); "
-               "nothing to report\n";
-  return 0;
+  return 0;  // unreachable: obs_off_reason() is set when compiled out
 #endif
 }
 
@@ -464,11 +479,14 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-#if !PARGREEDY_OBS
-  if (!prom_out.empty() || !events_out.empty())
+  const char* obs_off = obs_off_reason();
+  if (obs_off != nullptr && (!prom_out.empty() || !events_out.empty())) {
     std::cerr << "dynamic_service: --prom-out/--events-out ignored — "
-                 "observability was compiled out (PARGREEDY_OBS=0)\n";
-#endif
+                 "observability is "
+              << obs_off << "\n";
+    prom_out.clear();
+    events_out.clear();
+  }
 
   std::size_t arg = 0;
   std::string command = "serve";

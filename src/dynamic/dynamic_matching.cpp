@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/matching/matching.hpp"
-#include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "support/check.hpp"
@@ -39,27 +38,17 @@ struct MmReproEngine {
 };
 
 DynamicMatching::DynamicMatching(EngineOptions options)
-    : source_(std::move(options.source)) {
-  PG_CHECK_MSG(!options.explicit_order,
-               "DynamicMatching has no vertex-order mode; use a "
-               "PrioritySource policy");
-  compact_threshold_ = options.compaction_threshold;
-  CsrGraph base = std::move(options.graph);
-  active_.assign(base.num_vertices(), 1);
-  pri_.resize(base.num_edges());
-  // pri2_ stays empty for single-word policies: no storage, and earlier()
-  // skips the second comparison.
-  if (source_.has_secondary_word()) pri2_.resize(base.num_edges());
-  parallel_for(0, static_cast<int64_t>(base.num_edges()), [&](int64_t e) {
-    const PriorityKey k =
-        source_.edge_key(base.edge(static_cast<EdgeId>(e)),
-                         base.edge_weight(static_cast<EdgeId>(e)));
-    pri_[static_cast<std::size_t>(e)] = k.primary;
-    if (!pri2_.empty()) pri2_[static_cast<std::size_t>(e)] = k.secondary;
-  });
+    : DynamicEngine(std::move(options.source)) {
+  const CsrGraph& base = options.graph;
+  keys_.fill(base.num_edges(), source_.has_secondary_word(),
+             [&](std::size_t e) {
+               return source_.edge_key(
+                   base.edge(static_cast<EdgeId>(e)),
+                   base.edge_weight(static_cast<EdgeId>(e)));
+             });
   in_m_ = mm_rootset(base, edge_order_for(base)).in_matching;
   in_m_.resize(base.num_edges(), 0);  // stays sized to slot_bound
-  graph_ = OverlayGraph(std::move(base));
+  adopt(std::move(options.graph));
   rebuild_index();
 }
 
@@ -74,10 +63,10 @@ bool DynamicMatching::slot_in_graph(EdgeSlot s) const {
 }
 
 bool DynamicMatching::earlier(EdgeSlot s, EdgeSlot t) const {
-  if (pri_[s] != pri_[t]) return pri_[s] < pri_[t];
-  if (!pri2_.empty() && pri2_[s] != pri2_[t]) return pri2_[s] < pri2_[t];
-  return edge_pair_key(graph_.slot_edge(s)) <
-         edge_pair_key(graph_.slot_edge(t));
+  return keys_.earlier(s, t, [&] {
+    return edge_pair_key(graph_.slot_edge(s)) <
+           edge_pair_key(graph_.slot_edge(t));
+  });
 }
 
 bool DynamicMatching::decide(EdgeSlot s) const {
@@ -133,26 +122,23 @@ void DynamicMatching::rebuild_index() {
   });
 }
 
-void DynamicMatching::refresh_slot(EdgeSlot s) {
-  const PriorityKey k =
-      source_.edge_key(graph_.slot_edge(s), graph_.slot_weight(s));
-  const uint64_t old2 = pri2_.empty() ? 0 : pri2_[s];
-  if (k.primary == pri_[s] && (pri2_.empty() || k.secondary == old2))
-    return;  // key unchanged (e.g. random_hash reweight): nothing to
-             // store, nothing to journal
-  if (txn_) txn_->engine.record_key(s, pri_[s], old2);
-  pri_[s] = k.primary;
-  if (!pri2_.empty()) pri2_[s] = k.secondary;
+bool DynamicMatching::refresh_slot(EdgeSlot s) {
+  return store_key(
+      s, source_.edge_key(graph_.slot_edge(s), graph_.slot_weight(s)));
 }
 
 void DynamicMatching::cover_slot(EdgeSlot s) {
-  if (s < pri_.size()) return;
-  const std::size_t old = pri_.size();
-  if (txn_) txn_->engine.record_growth(old);
-  pri_.resize(s + 1);
-  if (source_.has_secondary_word()) pri2_.resize(s + 1);
+  if (s < keys_.size()) return;
+  const std::size_t old = keys_.size();
+  if (EngineJournal* j = journal()) j->record_growth(old);
+  keys_.resize(s + 1);
   in_m_.resize(s + 1, 0);
   for (std::size_t t = old; t <= s; ++t) refresh_slot(t);
+}
+
+void DynamicMatching::undo_growth(std::size_t old_size) {
+  keys_.resize(old_size);
+  in_m_.resize(old_size);
 }
 
 bool DynamicMatching::matched(VertexId u, VertexId v) const {
@@ -194,15 +180,8 @@ uint64_t DynamicMatching::size() const {
   return ends / 2;
 }
 
-BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
-  // The caller holds writer_role_; the engine is the overlay's one writer
-  // for the duration of the batch.
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
-  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
-  const uint64_t n = num_vertices();
-  PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
-  BatchStats stats;
+void DynamicMatching::apply_updates(const UpdateBatch& batch,
+                                    BatchStats& stats) {
   std::vector<EdgeSlot> seeds;
 
   // Dropping an edge that was matched frees its endpoints: every
@@ -210,7 +189,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   // seeded. A dropped edge that was NOT matched constrains nobody.
   const auto drop_slot = [&](EdgeSlot s) {
     if (!in_m_[s]) return;
-    if (txn_) txn_->engine.record_decision(s, true);
+    if (EngineJournal* j = journal()) j->record_decision(s, true);
     set_in_m(s, false);
     ++stats.changed;  // an eager flip, counted like repropagation flips
     const Edge e = graph_.slot_edge(s);
@@ -224,9 +203,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
 
   // Structural application, in the documented order (see UpdateBatch).
   for (VertexId v : batch.deactivates()) {
-    if (!active_[v]) continue;
-    if (txn_) txn_->engine.record_active(v, true);
-    active_[v] = 0;
+    if (!set_active(v, false)) continue;
     ++stats.deactivated;
     // v's edges leave the graph. Matched ones free their other endpoint.
     graph_.for_incident(v, [&](VertexId, EdgeSlot s) { drop_slot(s); });
@@ -250,9 +227,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
     if (active_[e.u] && active_[e.v]) seeds.push_back(s);
   }
   for (VertexId v : batch.activates()) {
-    if (active_[v]) continue;
-    if (txn_) txn_->engine.record_active(v, false);
-    active_[v] = 1;
+    if (!set_active(v, true)) continue;
     ++stats.activated;
     // v's surviving edges re-enter the graph (those whose other endpoint
     // is active too); each must recompute its decision from scratch.
@@ -267,10 +242,7 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
     if (s == kInvalidSlot || graph_.slot_weight(s) == w) continue;
     graph_.set_slot_weight(s, w);
     ++stats.reweighted;
-    const uint64_t old_pri = pri_[s];
-    const uint64_t old_pri2 = pri2_.empty() ? 0 : pri2_[s];
-    refresh_slot(s);
-    if (pri_[s] == old_pri && (pri2_.empty() || pri2_[s] == old_pri2))
+    if (!refresh_slot(s))
       continue;  // key ignores the weight (random_hash): provable no-op
     // An inactive endpoint keeps the edge out of the matching's graph: the
     // refreshed key simply waits for the activation seeds.
@@ -299,123 +271,28 @@ BatchStats DynamicMatching::apply_batch(const UpdateBatch& batch) {
   }
 
   repropagate(std::move(seeds), MmReproEngine{*this},
-              graph_.slot_bound() + 1, stats,
-              txn_ ? &txn_->engine : nullptr);
-
-  if (compact_if_needed_impl()) stats.compacted = true;
-  ++epoch_;
-  lifetime_stats_.accumulate(stats);
-  obs_accumulate_batch(stats, "matching", n);
-  PG_OBS_SPAN_OUT2(span_batch, stats.rounds, stats.changed);
-  return stats;
-}
-
-bool DynamicMatching::compact_if_needed() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  return compact_if_needed_impl();
-}
-
-bool DynamicMatching::compact_if_needed_impl() {
-  // Deferred while a journal is attached: compaction reassigns slots,
-  // which has no cheap inverse; transactions compact at commit instead.
-  if (txn_ != nullptr || compact_threshold_ <= 0 ||
-      graph_.overlay_fraction() <= compact_threshold_)
-    return false;
-  compact_impl();
-  return true;
+              graph_.slot_bound() + 1, stats, journal());
 }
 
 PriorityKey DynamicMatching::cached_slot_key(EdgeSlot s) const {
-  PG_CHECK_MSG(s < pri_.size(), "slot " << s << " not covered");
-  return {pri_[s], pri2_.empty() ? 0 : pri2_[s]};
+  PG_CHECK_MSG(s < keys_.size(), "slot " << s << " not covered");
+  return keys_[s];
 }
 
-void DynamicMatching::txn_attach(TxnJournal* txn) {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn != nullptr, "txn_attach(nullptr)");
-  PG_CHECK_MSG(txn_ == nullptr, "a transaction journal is already attached");
-  txn_ = txn;
-  graph_.set_journal(&txn->overlay);
-}
-
-void DynamicMatching::txn_detach() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn_ != nullptr, "no transaction journal attached");
-  txn_ = nullptr;
-  graph_.set_journal(nullptr);
-}
-
-TxnMark DynamicMatching::txn_mark() const {
-  PG_CHECK_MSG(txn_ != nullptr, "txn_mark requires an attached journal");
-  return {txn_->engine.size(), txn_->overlay.size(), graph_.epoch(), epoch_,
-          lifetime_stats_};
-}
-
-void DynamicMatching::txn_rollback(const TxnMark& mark) {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn_ != nullptr, "txn_rollback requires an attached journal");
-  const EngineJournal& ej = txn_->engine;
-  PG_CHECK_MSG(mark.engine_records <= ej.size(),
-               "engine undo mark beyond journal size");
-  for (std::size_t i = ej.size(); i-- > mark.engine_records;) {
-    const EngineUndoRecord& r = ej[i];
-    switch (r.kind) {
-      case EngineUndoRecord::Kind::kDecision:
-        // Newest-first replay: the stored bit is the flip's new value.
-        set_in_m(r.item, r.flag != 0);
-        break;
-      case EngineUndoRecord::Kind::kActive:
-        active_[r.item] = r.flag;
-        break;
-      case EngineUndoRecord::Kind::kKey:
-        // Key records of slots appended after this point in the journal
-        // are replayed before the growth record truncates them away, so
-        // the writes below always hit live array entries.
-        pri_[r.item] = r.old_a;
-        if (!pri2_.empty()) pri2_[r.item] = r.old_b;
-        break;
-      case EngineUndoRecord::Kind::kGrowth:
-        pri_.resize(r.item);
-        if (!pri2_.empty()) pri2_.resize(r.item);
-        in_m_.resize(r.item);
-        break;
-    }
-  }
-  txn_->engine.truncate(mark.engine_records);
-  graph_.undo_to(mark.overlay_records, mark.overlay_epoch);
-  epoch_ = mark.engine_epoch;
-  lifetime_stats_ = mark.lifetime;
-}
-
-void DynamicMatching::compact() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  compact_impl();
-}
-
-void DynamicMatching::compact_impl() {
-  const std::vector<Edge> matched = matched_edges();
-  graph_.compact();  // slot weights survive; checks no journal attached
-  ++epoch_;
-  pri_.resize(graph_.slot_bound());
-  if (source_.has_secondary_word()) pri2_.resize(graph_.slot_bound());
-  parallel_for(0, static_cast<int64_t>(graph_.slot_bound()), [&](int64_t s) {
-    const PriorityKey k = source_.edge_key(
-        graph_.slot_edge(static_cast<EdgeSlot>(s)),
-        graph_.slot_weight(static_cast<EdgeSlot>(s)));
-    pri_[static_cast<std::size_t>(s)] = k.primary;
-    if (!pri2_.empty()) pri2_[static_cast<std::size_t>(s)] = k.secondary;
-  });
+void DynamicMatching::after_compact(std::vector<Edge> matched) {
+  // Slot ids changed: recompute every key and re-mark the matched pairs.
+  keys_.fill(graph_.slot_bound(), source_.has_secondary_word(),
+             [&](std::size_t s) {
+               return source_.edge_key(graph_.slot_edge(s),
+                                       graph_.slot_weight(s));
+             });
   in_m_.assign(graph_.slot_bound(), 0);
   for (const Edge& e : matched) {
     const EdgeSlot s = graph_.find_slot(e.u, e.v);
     PG_CHECK_MSG(s != kInvalidSlot, "matched edge lost in compaction");
     in_m_[s] = 1;
   }
-  rebuild_index();  // slot ids changed
-}
-
-CsrGraph DynamicMatching::active_subgraph() const {
-  return graph_.active_subgraph(active_);
+  rebuild_index();
 }
 
 }  // namespace pargreedy

@@ -26,17 +26,18 @@
 // where H = active_subgraph() (checked by the differential tests).
 //
 // Concurrency contract (machine-checked): one writer, many readers —
-// identical to DynamicMis. Mutators require the engine's `writer_role_`
+// identical to DynamicMis, and implemented once in the shared engine core
+// (engine_core.hpp). Mutators require the engine's `writer_role_`
 // capability; const queries are reader-safe between writer calls; the
-// engine acquires its OverlayGraph's writer role inside each mutator.
+// core acquires the OverlayGraph's writer role inside each mutator.
 // See support/thread_annotations.hpp and docs/STATIC_ANALYSIS.md. For
 // committed reads that must be safe *during* writer calls, use a
 // Transaction's lock-free published view (txn/published_state.hpp,
 // docs/CONCURRENCY.md).
 //
 // Per-edge state (membership bit, cached priority key) is keyed by
-// OverlayGraph slot; compaction reassigns slots, so apply_batch re-keys
-// the state through the surviving matched pairs when it compacts.
+// OverlayGraph slot; compaction reassigns slots, so the core's
+// compaction hook re-keys the state through the surviving matched pairs.
 //
 // Matched-slot index: per vertex w, in_cnt_[w] counts the incident slots
 // whose membership bit is set and in_xor_[w] is the XOR of their slot
@@ -72,11 +73,9 @@
 #include <vector>
 
 #include "core/matching/edge_order.hpp"
-#include "core/priority/priority_source.hpp"
 #include "dynamic/engine_api.hpp"
-#include "dynamic/overlay_graph.hpp"
+#include "dynamic/engine_core.hpp"
 #include "dynamic/repropagate.hpp"
-#include "dynamic/undo_log.hpp"
 #include "dynamic/update_batch.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/thread_annotations.hpp"
@@ -84,28 +83,21 @@
 namespace pargreedy {
 
 /// Batch-dynamic greedy maximal-matching engine (see file comment for the
-/// priority scheme and the maintained invariant).
-class DynamicMatching {
+/// priority scheme and the maintained invariant). The graph, activity,
+/// compaction and transactional seams are the shared core's
+/// (engine_core.hpp).
+class DynamicMatching : public DynamicEngine<DynamicMatching> {
  public:
-  /// The engine's single-writer capability (see DynamicMis::writer_role_).
-  support::Role writer_role_;
+  /// Label value of the per-engine obs series.
+  static constexpr const char* kName = "matching";
 
   /// Starts from `options.graph` with every vertex active; edge
   /// priorities come from `options.source` (edge_weight /
   /// weight_hash_tiebreak read the graph's edge weights — weighted greedy
   /// matching) and the initial matching is computed with the parallel
-  /// rootset algorithm. Checked: `options.explicit_order` must be unset —
-  /// matching priorities live on edges, so no VertexOrder describes them.
-  /// This is the only constructor; build options with the EngineOptions
-  /// factories (engine_api.hpp).
+  /// rootset algorithm. This is the only constructor; build options with
+  /// the EngineOptions factories (engine_api.hpp).
   explicit DynamicMatching(EngineOptions options);
-
-  [[nodiscard]] uint64_t num_vertices() const noexcept {
-    return graph_.num_vertices();
-  }
-  [[nodiscard]] uint64_t num_edges() const noexcept {
-    return graph_.num_live_edges();
-  }
 
   /// True iff live edge {u, v} is currently in the matching.
   [[nodiscard]] bool matched(VertexId u, VertexId v) const;
@@ -113,11 +105,6 @@ class DynamicMatching {
   /// v's partner in the matching, or kInvalidVertex when unmatched. O(1)
   /// (read from the matched-slot index).
   [[nodiscard]] VertexId matched_with(VertexId v) const;
-
-  /// True iff v is currently part of the graph.
-  [[nodiscard]] bool active(VertexId v) const noexcept {
-    return active_[v] != 0;
-  }
 
   /// Per-vertex partner array over the full universe (kInvalidVertex for
   /// unmatched and inactive vertices) — comparable bit-for-bit with
@@ -130,84 +117,17 @@ class DynamicMatching {
   /// Number of matched edges. O(n) over the matched-slot index.
   [[nodiscard]] uint64_t size() const;
 
-  /// Applies a batch (see UpdateBatch for intra-batch semantics) and
-  /// repropagates to the new greedy fixpoint. Returns touch counters.
-  BatchStats apply_batch(const UpdateBatch& batch)
-      PARGREEDY_REQUIRES(writer_role_);
-
-  /// Overlay fraction above which apply_batch folds the deltas back into
-  /// the base CSR. <= 0 disables auto-compaction. Default 0.5.
-  void set_compaction_threshold(double fraction)
-      PARGREEDY_REQUIRES(writer_role_) {
-    compact_threshold_ = fraction;
-  }
-
-  /// Forces compaction now (re-keys per-edge state). Checked: forbidden
-  /// while a transaction journal is attached.
-  void compact() PARGREEDY_REQUIRES(writer_role_);
-
-  /// Runs the auto-compaction check apply_batch normally runs (skipped
-  /// while a journal is attached); returns true iff it compacted. The
-  /// transaction layer calls this after detaching at commit.
-  bool compact_if_needed() PARGREEDY_REQUIRES(writer_role_);
-
   /// The cached priority key of slot s — the words earlier() compares.
   /// Checked: s is a covered slot.
   [[nodiscard]] PriorityKey cached_slot_key(EdgeSlot s) const;
-
-  /// Monotonic engine-state stamp: bumped by every apply_batch and
-  /// compaction, restored by txn_rollback (see DynamicMis::epoch).
-  [[nodiscard]] uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Counters accumulated over every apply_batch since construction
-  /// (part of the transactional checkpoint: restored on rollback).
-  [[nodiscard]] const BatchStats& lifetime_stats() const noexcept {
-    return lifetime_stats_;
-  }
-
-  // Transactional seams — called by txn::Transaction (see
-  // src/txn/transaction.hpp); not part of the everyday API.
-
-  /// Attaches the undo journal (see DynamicMis::txn_attach).
-  void txn_attach(TxnJournal* txn) PARGREEDY_REQUIRES(writer_role_);
-
-  /// Detaches the journal without replaying (commit path).
-  void txn_detach() PARGREEDY_REQUIRES(writer_role_);
-
-  /// O(1) checkpoint: journal watermarks + scalar stamps. Writer-side (it
-  /// reads the journal attachment), hence the capability requirement.
-  [[nodiscard]] TxnMark txn_mark() const PARGREEDY_REQUIRES(writer_role_);
-
-  /// Replays both journals newest-first down to `mark`, restoring the
-  /// engine bit-exactly (matching bits, activity, cached keys, per-slot
-  /// array sizes, overlay, epochs, lifetime stats).
-  void txn_rollback(const TxnMark& mark) PARGREEDY_REQUIRES(writer_role_);
-
-  /// The hash seed the edge priorities derive from (0 for pure-weight
-  /// policies).
-  [[nodiscard]] uint64_t seed() const { return source_.seed(); }
-
-  /// The policy the edge priorities derive from.
-  [[nodiscard]] const PrioritySource& priority_source() const {
-    return source_;
-  }
-
-  /// Always true: matching priorities are always policy-derived (there is
-  /// no explicit-order mode). Part of the DynamicEngineApi surface.
-  [[nodiscard]] bool has_priority_source() const noexcept { return true; }
 
   /// The priority order this engine induces on the edges of `g` (reading
   /// g's edge weights under the weighted policies) — feed to mm_sequential
   /// for the from-scratch oracle.
   [[nodiscard]] EdgeOrder edge_order_for(const CsrGraph& g) const;
 
-  /// The live graph including edges at inactive vertices (overlay state).
-  [[nodiscard]] const OverlayGraph& graph() const { return graph_; }
-
-  /// The oracle's view: live edges with both endpoints active.
-  [[nodiscard]] CsrGraph active_subgraph() const;
-
  private:
+  friend class DynamicEngine<DynamicMatching>;
   friend struct MmReproEngine;
 
   /// True iff slot s is in the matching's graph: edge live, endpoints
@@ -233,35 +153,23 @@ class DynamicMatching {
   void cover_slot(EdgeSlot s) PARGREEDY_REQUIRES(writer_role_);
 
   /// Recomputes slot s's cached priority key from its current endpoints
-  /// and weight (needed when a re-insert changes an edge's weight).
-  void refresh_slot(EdgeSlot s) PARGREEDY_REQUIRES(writer_role_);
+  /// and weight (needed when a re-insert changes an edge's weight);
+  /// true iff the key changed.
+  bool refresh_slot(EdgeSlot s) PARGREEDY_REQUIRES(writer_role_);
 
-  /// Compaction bodies shared by compact()/compact_if_needed()/
-  /// apply_batch; require both the engine's and the overlay's writer role
-  /// (the public entries acquire the overlay's).
-  void compact_impl() PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
-  bool compact_if_needed_impl()
+  // Core hooks (engine_core.hpp).
+  void apply_updates(const UpdateBatch& batch, BatchStats& stats)
       PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
+  void undo_decision(uint64_t s, bool value) { set_in_m(s, value); }
+  void undo_growth(std::size_t old_size);
+  [[nodiscard]] std::vector<Edge> before_compact() const {
+    return matched_edges();
+  }
+  void after_compact(std::vector<Edge> matched);
 
-  OverlayGraph graph_;
-  PrioritySource source_;
-  std::vector<uint8_t> active_;
   std::vector<uint8_t> in_m_;     // per slot: edge in matching
   std::vector<uint32_t> in_cnt_;  // per vertex: incident slots in_m_ set
   std::vector<EdgeSlot> in_xor_;  // per vertex: XOR of those slot ids
-  std::vector<uint64_t> pri_;     // per slot: priority key, primary word
-  std::vector<uint64_t> pri2_;    // per slot: secondary word; empty (and
-                                  // skipped in earlier()) for single-word
-                                  // policies
-  double compact_threshold_ = 0.5;
-  uint64_t epoch_ = 0;             // bumped per apply_batch/compact;
-                                   // restored by txn_rollback
-  BatchStats lifetime_stats_;      // accumulated over apply_batch calls
-  // Attached transaction journal (not owned); nullptr outside
-  // transactions. Pointer and pointee are writer-role state: only held
-  // code reads the attachment or appends records.
-  TxnJournal* txn_ PARGREEDY_GUARDED_BY(writer_role_)
-      PARGREEDY_PT_GUARDED_BY(writer_role_) = nullptr;
 };
 
 }  // namespace pargreedy

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "support/check.hpp"
 
@@ -25,45 +23,22 @@ struct MisReproEngine {
   }
 };
 
-DynamicMis::DynamicMis(EngineOptions options) {
-  compact_threshold_ = options.compaction_threshold;
-  if (options.explicit_order) {
-    order_ = std::move(*options.explicit_order);
-  } else {
-    source_ = std::move(options.source);
-    has_source_ = true;
-    order_ = source_.vertex_order(options.graph);
-  }
-  init(std::move(options.graph));
-}
-
-const PrioritySource& DynamicMis::priority_source() const {
-  PG_CHECK_MSG(has_source_,
-               "engine was built from an explicit VertexOrder; no "
-               "PrioritySource describes its priorities");
-  return source_;
-}
-
-void DynamicMis::init(CsrGraph base) {
+DynamicMis::DynamicMis(EngineOptions options)
+    : DynamicEngine(std::move(options.source)) {
+  const CsrGraph& base = options.graph;
+  order_ = source_.vertex_order(base);
   PG_CHECK_MSG(order_.size() == base.num_vertices(),
                "ordering size != vertex count");
-  if (has_source_) {
-    // Cache per-vertex keys: (key, id) compares give exactly the order_
-    // total order, and stay refreshable under vertex reweights.
-    const uint64_t n = base.num_vertices();
-    vpri_.resize(n);
-    if (source_.has_secondary_word()) vpri2_.resize(n);
-    parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
-      const PriorityKey k =
-          source_.vertex_key(static_cast<VertexId>(v),
-                             base.vertex_weight(static_cast<VertexId>(v)));
-      vpri_[static_cast<std::size_t>(v)] = k.primary;
-      if (!vpri2_.empty()) vpri2_[static_cast<std::size_t>(v)] = k.secondary;
-    });
-  }
-  active_.assign(base.num_vertices(), 1);
+  // Cache per-vertex keys: (key, id) compares give exactly the order_
+  // total order, and stay refreshable under vertex reweights.
+  keys_.fill(base.num_vertices(), source_.has_secondary_word(),
+             [&](std::size_t v) {
+               return source_.vertex_key(
+                   static_cast<VertexId>(v),
+                   base.vertex_weight(static_cast<VertexId>(v)));
+             });
   in_set_ = mis_rootset(base, order_).in_set;
-  graph_ = OverlayGraph(std::move(base));
+  adopt(std::move(options.graph));
 }
 
 const VertexOrder& DynamicMis::order() const {
@@ -92,14 +67,7 @@ uint64_t DynamicMis::size() const {
       [&](int64_t v) { return in_set_[static_cast<std::size_t>(v)] ? 1 : 0; }));
 }
 
-BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
-  // The engine is the overlay's writer for the scope of this batch.
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_OBS_BATCH_SCOPE(corr_batch);  // fresh batch_id, or the caller's
-  PG_OBS_SPAN1(span_batch, kApplyBatch, batch.size());
-  const uint64_t n = num_vertices();
-  PG_CHECK_MSG(batch.endpoints_in_range(n), "batch references vertex >= n");
-  BatchStats stats;
+void DynamicMis::apply_updates(const UpdateBatch& batch, BatchStats& stats) {
   std::vector<VertexId> seeds;
 
   // Structural application, in the documented order. Only operations that
@@ -108,9 +76,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
   // never depends on it), and a toggled vertex seeds itself — everything
   // downstream is discovered by the rounds.
   for (VertexId v : batch.deactivates()) {
-    if (!active_[v]) continue;
-    if (txn_) txn_->engine.record_active(v, true);
-    active_[v] = 0;
+    if (!set_active(v, false)) continue;
     ++stats.deactivated;
     seeds.push_back(v);
   }
@@ -130,9 +96,7 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     seeds.push_back(earlier(e.u, e.v) ? e.v : e.u);
   }
   for (VertexId v : batch.activates()) {
-    if (active_[v]) continue;
-    if (txn_) txn_->engine.record_active(v, false);
-    active_[v] = 1;
+    if (!set_active(v, true)) continue;
     ++stats.activated;
     seeds.push_back(v);
   }
@@ -153,16 +117,8 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     if (graph_.vertex_weight(v) == w) continue;
     graph_.set_vertex_weight(v, w);
     ++stats.reweighted;
-    if (!has_source_) continue;  // explicit pi never reads weights
-    const PriorityKey k = source_.vertex_key(v, w);
-    const bool key_changed =
-        k.primary != vpri_[v] ||
-        (!vpri2_.empty() && k.secondary != vpri2_[v]);
-    if (!key_changed) continue;  // e.g. random_hash: provable no-op
-    if (txn_)
-      txn_->engine.record_key(v, vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]);
-    vpri_[v] = k.primary;
-    if (!vpri2_.empty()) vpri2_[v] = k.secondary;
+    if (!store_key(v, source_.vertex_key(v, w)))
+      continue;  // e.g. random_hash: provable no-op
     order_stale_ = true;
     if (!active_[v]) continue;  // an inactive rank influences nobody
     // v's own decision and — through the flipped earlier(v, ·) relations —
@@ -174,108 +130,8 @@ BatchStats DynamicMis::apply_batch(const UpdateBatch& batch) {
     });
   }
 
-  repropagate(std::move(seeds), MisReproEngine{*this}, n + 1, stats,
-              txn_ ? &txn_->engine : nullptr);
-
-  if (compact_if_needed_impl()) stats.compacted = true;
-  ++epoch_;
-  lifetime_stats_.accumulate(stats);
-  obs_accumulate_batch(stats, "mis", n);
-  PG_OBS_SPAN_OUT2(span_batch, stats.rounds, stats.changed);
-  return stats;
-}
-
-bool DynamicMis::compact_if_needed() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  return compact_if_needed_impl();
-}
-
-bool DynamicMis::compact_if_needed_impl() {
-  // Deferred while a journal is attached: compaction has no cheap
-  // inverse, so transactions compact at commit, after detaching.
-  if (txn_ != nullptr || compact_threshold_ <= 0 ||
-      graph_.overlay_fraction() <= compact_threshold_)
-    return false;
-  compact_impl();
-  return true;
-}
-
-void DynamicMis::compact() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  compact_impl();
-}
-
-void DynamicMis::compact_impl() {
-  graph_.compact();  // checks no journal is attached
-  ++epoch_;
-}
-
-PriorityKey DynamicMis::cached_vertex_key(VertexId v) const {
-  PG_CHECK_MSG(has_source_,
-               "engine was built from an explicit VertexOrder; it caches "
-               "no priority keys");
-  return {vpri_[v], vpri2_.empty() ? 0 : vpri2_[v]};
-}
-
-void DynamicMis::txn_attach(TxnJournal* txn) {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn != nullptr, "txn_attach(nullptr)");
-  PG_CHECK_MSG(txn_ == nullptr, "a transaction journal is already attached");
-  txn_ = txn;
-  graph_.set_journal(&txn->overlay);
-}
-
-void DynamicMis::txn_detach() {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn_ != nullptr, "no transaction journal attached");
-  txn_ = nullptr;
-  graph_.set_journal(nullptr);
-}
-
-TxnMark DynamicMis::txn_mark() const {
-  PG_CHECK_MSG(txn_ != nullptr, "txn_mark requires an attached journal");
-  return {txn_->engine.size(), txn_->overlay.size(), graph_.epoch(), epoch_,
-          lifetime_stats_};
-}
-
-void DynamicMis::txn_rollback(const TxnMark& mark) {
-  support::RoleScope overlay_writer(graph_.writer_role_);
-  PG_CHECK_MSG(txn_ != nullptr, "txn_rollback requires an attached journal");
-  const EngineJournal& ej = txn_->engine;
-  PG_CHECK_MSG(mark.engine_records <= ej.size(),
-               "engine undo mark beyond journal size");
-  bool keys_restored = false;
-  for (std::size_t i = ej.size(); i-- > mark.engine_records;) {
-    const EngineUndoRecord& r = ej[i];
-    switch (r.kind) {
-      case EngineUndoRecord::Kind::kDecision:
-        in_set_[r.item] = r.flag;
-        break;
-      case EngineUndoRecord::Kind::kActive:
-        active_[r.item] = r.flag;
-        break;
-      case EngineUndoRecord::Kind::kKey:
-        vpri_[r.item] = r.old_a;
-        if (!vpri2_.empty()) vpri2_[r.item] = r.old_b;
-        keys_restored = true;
-        break;
-      case EngineUndoRecord::Kind::kGrowth:
-        PG_CHECK_MSG(false, "growth record in a vertex-keyed engine");
-    }
-  }
-  txn_->engine.truncate(mark.engine_records);
-  // order_ may have been re-materialized mid-transaction from since-rolled-
-  // back weights; force a rebuild from the restored keys on next order().
-  // The rebuilt order is content-identical to the pre-transaction one
-  // (vertex_order is a pure function of the restored weights).
-  if (keys_restored) order_stale_ = true;
-  graph_.undo_to(mark.overlay_records, mark.overlay_epoch);
-  epoch_ = mark.engine_epoch;
-  lifetime_stats_ = mark.lifetime;
-}
-
-CsrGraph DynamicMis::active_subgraph() const {
-  return graph_.active_subgraph(active_);
+  repropagate(std::move(seeds), MisReproEngine{*this}, num_vertices() + 1,
+              stats, journal());
 }
 
 }  // namespace pargreedy

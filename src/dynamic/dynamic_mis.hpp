@@ -12,28 +12,27 @@
 // (Theorem 3.5 / Fischer–Noever). See repropagate.hpp for the round
 // structure and determinism argument.
 //
-// Priorities under reweights: for a PrioritySource-built engine the
-// comparisons run on cached per-vertex PriorityKeys (key, id tie-break —
-// the identical total order the materialized VertexOrder would give), so
-// a batch vertex reweight only refreshes the affected keys and seeds the
-// vertex plus its active neighbors; under policies whose keys ignore
-// vertex weights (random_hash) a reweight is a provable no-op — zero
-// seeds, zero rounds. Edge reweights update the stored weight for
-// snapshots but never touch vertex priorities. An engine built from an
-// explicit VertexOrder has no policy to re-derive keys from; its pi is
-// fixed for life and reweights only update stored weights.
+// Priorities under reweights: the comparisons run on cached per-vertex
+// PriorityKeys (key, id tie-break — the identical total order the
+// materialized VertexOrder would give), so a batch vertex reweight only
+// refreshes the affected keys and seeds the vertex plus its active
+// neighbors; under policies whose keys ignore vertex weights
+// (random_hash) a reweight is a provable no-op — zero seeds, zero
+// rounds. Edge reweights update the stored weight for
+// snapshots but never touch vertex priorities.
 //
 // Concurrency contract (machine-checked): one writer, many readers. The
 // mutators (apply_batch, compact, the txn_* seams) may only be called by
 // the single writer thread and are annotated to require the engine's
 // `writer_role_` capability; the const queries are safe from any number
 // of reader threads between writer calls (order() being the documented
-// exception). The engine in turn acquires its OverlayGraph's writer role
-// for the scope of each mutator — see support/thread_annotations.hpp and
-// docs/STATIC_ANALYSIS.md. Readers that need committed state *during*
-// writer calls should go through a Transaction's published view
-// (txn/published_state.hpp, docs/CONCURRENCY.md), which is lock-free
-// and safe at any time — this engine's own queries are not.
+// exception). The shared engine core (engine_core.hpp) acquires the
+// OverlayGraph's writer role for the scope of each mutator — see
+// support/thread_annotations.hpp and docs/STATIC_ANALYSIS.md. Readers
+// that need committed state *during* writer calls should go through a
+// Transaction's published view (txn/published_state.hpp,
+// docs/CONCURRENCY.md), which is lock-free and safe at any time — this
+// engine's own queries are not.
 //
 // Vertex activity: the vertex universe [0, n) is fixed at construction;
 // deactivating a vertex removes it (and implicitly its incident edges)
@@ -52,11 +51,9 @@
 
 #include "core/mis/mis.hpp"
 #include "core/mis/vertex_order.hpp"
-#include "core/priority/priority_source.hpp"
 #include "dynamic/engine_api.hpp"
-#include "dynamic/overlay_graph.hpp"
+#include "dynamic/engine_core.hpp"
 #include "dynamic/repropagate.hpp"
-#include "dynamic/undo_log.hpp"
 #include "dynamic/update_batch.hpp"
 #include "graph/csr_graph.hpp"
 #include "support/thread_annotations.hpp"
@@ -64,40 +61,24 @@
 namespace pargreedy {
 
 /// Batch-dynamic lexicographically-first MIS engine (see file comment for
-/// the maintained invariant).
-class DynamicMis {
+/// the maintained invariant). The graph, activity, compaction and
+/// transactional seams are the shared core's (engine_core.hpp).
+class DynamicMis : public DynamicEngine<DynamicMis> {
  public:
-  /// The engine's single-writer capability: every mutator requires it
-  /// exclusively (zero-cost; see support/thread_annotations.hpp). The
-  /// thread driving updates acquires it (support::RoleScope) around its
-  /// writer calls; under clang -Wthread-safety an unheld mutator call is
-  /// a compile error.
-  support::Role writer_role_;
+  /// Label value of the per-engine obs series.
+  static constexpr const char* kName = "mis";
 
-  /// Starts from `options.graph` with every vertex active; the initial
-  /// solution is computed with the parallel rootset algorithm. Priorities
-  /// come from `options.explicit_order` when set, else pi =
+  /// Starts from `options.graph` with every vertex active; pi =
   /// options.source.vertex_order(graph) (the weighted policies read the
-  /// graph's vertex weights — weighted greedy MIS). This is the only
-  /// constructor; build options with the EngineOptions factories
+  /// graph's vertex weights — weighted greedy MIS) and the initial
+  /// solution is computed with the parallel rootset algorithm. This is
+  /// the only constructor; build options with the EngineOptions factories
   /// (engine_api.hpp).
   explicit DynamicMis(EngineOptions options);
-
-  [[nodiscard]] uint64_t num_vertices() const noexcept {
-    return graph_.num_vertices();
-  }
-  [[nodiscard]] uint64_t num_edges() const noexcept {
-    return graph_.num_live_edges();
-  }
 
   /// True iff v is currently in the maintained MIS.
   [[nodiscard]] bool in_set(VertexId v) const noexcept {
     return in_set_[v] != 0;
-  }
-
-  /// True iff v is currently part of the graph.
-  [[nodiscard]] bool active(VertexId v) const noexcept {
-    return active_[v] != 0;
   }
 
   /// The current priority order pi, materialized. Rebuilt lazily after
@@ -109,19 +90,6 @@ class DynamicMis {
   /// externally) before reading the engine from other threads.
   [[nodiscard]] const VertexOrder& order() const;
 
-  /// True iff pi was derived from a PrioritySource (the seed and
-  /// PrioritySource constructors; false for an explicit VertexOrder,
-  /// which no policy describes).
-  [[nodiscard]] bool has_priority_source() const noexcept {
-    return has_source_;
-  }
-
-  /// The policy pi was derived from (random_hash(seed) for the seed
-  /// constructor). Checked: calling this on an engine built from an
-  /// explicit VertexOrder throws — a default source would silently
-  /// mis-describe pi to oracle code.
-  [[nodiscard]] const PrioritySource& priority_source() const;
-
   /// The current solution as a membership bitmap (0 for inactive
   /// vertices) — bit-identical to the from-scratch oracle (see header
   /// comment).
@@ -130,117 +98,37 @@ class DynamicMis {
   /// Number of vertices currently in the MIS.
   [[nodiscard]] uint64_t size() const;
 
-  /// Applies a batch (see UpdateBatch for intra-batch semantics) and
-  /// repropagates to the new greedy fixpoint. Returns touch counters.
-  BatchStats apply_batch(const UpdateBatch& batch)
-      PARGREEDY_REQUIRES(writer_role_);
-
-  /// Overlay fraction above which apply_batch folds the deltas back into
-  /// the base CSR. <= 0 disables auto-compaction. Default 0.5.
-  void set_compaction_threshold(double fraction)
-      PARGREEDY_REQUIRES(writer_role_) {
-    compact_threshold_ = fraction;
-  }
-
-  /// Forces compaction now. Checked: forbidden while a transaction
-  /// journal is attached (compaction has no cheap inverse).
-  void compact() PARGREEDY_REQUIRES(writer_role_);
-
-  /// Runs the auto-compaction check apply_batch normally runs (skipped
-  /// while a journal is attached); returns true iff it compacted. The
-  /// transaction layer calls this after detaching at commit.
-  bool compact_if_needed() PARGREEDY_REQUIRES(writer_role_);
-
   /// The cached priority key of v — the words earlier() compares.
-  /// Checked: source-built engines only (explicit orders cache no keys).
-  [[nodiscard]] PriorityKey cached_vertex_key(VertexId v) const;
-
-  /// Monotonic engine-state stamp: bumped by every apply_batch and
-  /// compaction, restored by txn_rollback. Equal epochs on one engine
-  /// mean no mutation happened in between — the staleness guard behind
-  /// the transaction layer's versioned reads.
-  [[nodiscard]] uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Counters accumulated over every apply_batch since construction
-  /// (part of the transactional checkpoint: restored on rollback).
-  [[nodiscard]] const BatchStats& lifetime_stats() const noexcept {
-    return lifetime_stats_;
+  [[nodiscard]] PriorityKey cached_vertex_key(VertexId v) const {
+    return keys_[v];
   }
-
-  // Transactional seams — called by txn::Transaction (see
-  // src/txn/transaction.hpp); not part of the everyday API.
-
-  /// Attaches the undo journal: subsequent mutations append inverse
-  /// records and auto-compaction is deferred. Checked: not already
-  /// attached. The journal must outlive the attachment.
-  void txn_attach(TxnJournal* txn) PARGREEDY_REQUIRES(writer_role_);
-
-  /// Detaches the journal (records are NOT replayed — commit path).
-  void txn_detach() PARGREEDY_REQUIRES(writer_role_);
-
-  /// O(1) checkpoint of the current state: journal watermarks + scalar
-  /// stamps. Checked: a journal is attached. Writer-side (it reads the
-  /// journal attachment), hence the capability requirement.
-  [[nodiscard]] TxnMark txn_mark() const PARGREEDY_REQUIRES(writer_role_);
-
-  /// Replays both journals newest-first down to `mark`, restoring the
-  /// engine bit-exactly to the checkpointed state (solution, activity,
-  /// cached keys, overlay, epochs, lifetime stats).
-  void txn_rollback(const TxnMark& mark) PARGREEDY_REQUIRES(writer_role_);
-
-  /// The live graph including edges at inactive vertices (overlay state).
-  [[nodiscard]] const OverlayGraph& graph() const { return graph_; }
-
-  /// The oracle's view: live edges with both endpoints active, over the
-  /// full vertex universe (inactive vertices become isolated).
-  [[nodiscard]] CsrGraph active_subgraph() const;
 
  private:
+  friend class DynamicEngine<DynamicMis>;
   friend struct MisReproEngine;
 
-  void init(CsrGraph base);
   [[nodiscard]] bool decide(VertexId v) const;
 
-  /// Compaction bodies shared by compact()/compact_if_needed()/
-  /// apply_batch; require both the engine's and the overlay's writer role
-  /// (the public entries acquire the overlay's).
-  void compact_impl() PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
-  bool compact_if_needed_impl()
-      PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
-
-  /// True iff a strictly precedes b in pi. For source-built engines this
-  /// compares the cached keys (id tie-break) — the same total order the
-  /// materialized VertexOrder gives, but robust to reweights; explicit
-  /// orders compare ranks.
+  /// True iff a strictly precedes b in pi: the cached keys, id
+  /// tie-break — the same total order the materialized VertexOrder gives,
+  /// but robust to reweights.
   [[nodiscard]] bool earlier(VertexId a, VertexId b) const {
-    if (!has_source_) return order_.earlier(a, b);
-    if (vpri_[a] != vpri_[b]) return vpri_[a] < vpri_[b];
-    if (!vpri2_.empty() && vpri2_[a] != vpri2_[b])
-      return vpri2_[a] < vpri2_[b];
-    return a < b;
+    return keys_.earlier(a, b, [&] { return a < b; });
   }
 
-  OverlayGraph graph_;
-  mutable VertexOrder order_;      // lazily re-materialized after reweights
+  // Core hooks (engine_core.hpp).
+  void apply_updates(const UpdateBatch& batch, BatchStats& stats)
+      PARGREEDY_REQUIRES(writer_role_, graph_.writer_role_);
+  void undo_decision(uint64_t v, bool value) { in_set_[v] = value ? 1 : 0; }
+  // order_ may have been re-materialized mid-transaction from since-
+  // rolled-back weights; rebuild it from the restored keys on next
+  // order(). The rebuilt order is content-identical to the
+  // pre-transaction one (vertex_order is a pure function of the weights).
+  void keys_restored() { order_stale_ = true; }
+
+  mutable VertexOrder order_;  // lazily re-materialized after reweights
   mutable bool order_stale_ = false;
-  PrioritySource source_;
-  bool has_source_ = false;
-  std::vector<uint64_t> vpri_;   // per vertex: priority key, primary word
-                                 // (source-built engines only)
-  std::vector<uint64_t> vpri2_;  // per vertex: secondary word; empty (and
-                                 // skipped in earlier()) for single-word
-                                 // policies
-  std::vector<uint8_t> active_;
   std::vector<uint8_t> in_set_;
-  double compact_threshold_ = 0.5;
-  uint64_t epoch_ = 0;             // bumped per apply_batch/compact;
-                                   // restored by txn_rollback
-  BatchStats lifetime_stats_;      // accumulated over apply_batch calls
-  // Attached transaction journal (not owned); nullptr outside
-  // transactions. Pointer and pointee are writer-role state: only held
-  // code reads the attachment or appends records.
-  TxnJournal* txn_ PARGREEDY_GUARDED_BY(writer_role_)
-      PARGREEDY_PT_GUARDED_BY(writer_role_) = nullptr;
 };
 
 }  // namespace pargreedy

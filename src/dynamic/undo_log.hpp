@@ -37,7 +37,7 @@
 //
 // Concurrency contract: the journal types themselves carry no capability —
 // a journal is only ever reached through an attaching pointer
-// (OverlayGraph::journal_, the engines' txn_), and those pointers are
+// (OverlayGraph::journal_, the engine core's txn_), and those pointers are
 // annotated GUARDED_BY/PT_GUARDED_BY the owner's writer role. Every
 // record()/truncate() call therefore already sits inside writer-held code,
 // which is where -Wthread-safety checks it (see
@@ -154,7 +154,7 @@ class EngineJournal {
 };
 
 /// The pair of journals a transaction attaches to one engine
-/// (DynamicMis::txn_attach / DynamicMatching::txn_attach). The engine
+/// (DynamicEngine::txn_attach, engine_core.hpp). The engine
 /// forwards `overlay` to its OverlayGraph and writes `engine` itself.
 struct TxnJournal {
   EngineJournal engine;

@@ -44,7 +44,7 @@ struct MisTxnTraits {
   using Value = uint8_t;
 
   /// Label value of the per-policy `txn.*{engine=...}` obs series.
-  static constexpr const char* kName = "mis";
+  static constexpr const char* kName = Engine::kName;
 
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();
@@ -70,7 +70,7 @@ struct MatchingTxnTraits {
   using Value = VertexId;
 
   /// Label value of the per-policy `txn.*{engine=...}` obs series.
-  static constexpr const char* kName = "matching";
+  static constexpr const char* kName = Engine::kName;
 
   static std::vector<Value> solution(const Engine& engine) {
     return engine.solution();

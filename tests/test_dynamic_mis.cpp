@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/mis/mis.hpp"
+#include "core/priority/priority_source.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/update_batch.hpp"
 #include "generators/generators.hpp"
@@ -27,6 +29,25 @@ void expect_matches_oracle(const DynamicMis& dm) {
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     if (!dm.active(v)) expect[v] = 0;
   ASSERT_EQ(dm.solution(), expect);
+}
+
+/// Options for the identity order pi = (0, 1, ..., n-1): vertex_weight
+/// priorities over weights n - v, so vertex 0 is the heaviest.
+EngineOptions identity_order_options(CsrGraph g) {
+  const uint64_t n = g.num_vertices();
+  std::vector<Weight> weights(n);
+  for (uint64_t v = 0; v < n; ++v) weights[v] = static_cast<Weight>(n - v);
+  g.set_vertex_weights(std::move(weights));
+  return EngineOptions::with_source(std::move(g),
+                                    PrioritySource::vertex_weight());
+}
+
+/// True iff the engine's materialized pi is the identity.
+bool order_is_identity(const DynamicMis& dm) {
+  const auto ranks = dm.order().ranks();
+  for (uint64_t v = 0; v < ranks.size(); ++v)
+    if (ranks[v] != v) return false;
+  return true;
 }
 
 TEST(DynamicMis, InitialSolutionIsTheGreedyMis) {
@@ -84,8 +105,8 @@ TEST(DynamicMis, CascadeAlongAPathReachesEveryVertex) {
   // must flip the entire alternation — the classic Theta(n) dependence
   // chain — and reactivating must restore it.
   const uint64_t n = 101;
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(path_graph(n)), VertexOrder::identity(n)));
+  DynamicMis dm(identity_order_options(CsrGraph::from_edges(path_graph(n))));
+  ASSERT_TRUE(order_is_identity(dm));
   for (VertexId v = 0; v < n; ++v) EXPECT_EQ(dm.in_set(v), v % 2 == 0);
   BatchStats stats = dm.apply_batch(UpdateBatch{}.deactivate(0));
   for (VertexId v = 1; v < n; ++v) EXPECT_EQ(dm.in_set(v), v % 2 == 1);
@@ -101,8 +122,8 @@ TEST(DynamicMis, CascadeAlongAPathReachesEveryVertex) {
 TEST(DynamicMis, LocalizedUpdateTouchesFewVertices) {
   // On a star, deleting one leaf edge only re-examines that leaf.
   const uint64_t n = 1'000;
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(star_graph(n)), VertexOrder::identity(n)));
+  DynamicMis dm(identity_order_options(CsrGraph::from_edges(star_graph(n))));
+  ASSERT_TRUE(order_is_identity(dm));
   ASSERT_TRUE(dm.in_set(0));
   const BatchStats stats = dm.apply_batch(UpdateBatch{}.delete_edge(0, 500));
   EXPECT_TRUE(dm.in_set(500));  // freed leaf joins
@@ -122,8 +143,8 @@ TEST(DynamicMis, IntraBatchPrecedenceInsertsWinActivationsWin) {
 }
 
 TEST(DynamicMis, EdgesInsertedAtInactiveVerticesWaitForActivation) {
-  DynamicMis dm(EngineOptions::with_order(
-      CsrGraph::from_edges(path_graph(3)), VertexOrder::identity(3)));
+  DynamicMis dm(identity_order_options(CsrGraph::from_edges(path_graph(3))));
+  ASSERT_TRUE(order_is_identity(dm));
   dm.apply_batch(UpdateBatch{}.deactivate(0));
   // Edge stored, but 0 is not in the graph: 1's decision unaffected.
   dm.apply_batch(UpdateBatch{}.insert_edge(0, 2));

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/matching/matching.hpp"
@@ -189,20 +190,26 @@ TEST(WeightedOracles, MatchingAgreesWithSequentialOnMaterializedOrder) {
   }
 }
 
-TEST(PrioritySource, ExplicitOrderEngineReportsNoSource) {
-  const CsrGraph g = CsrGraph::from_edges(random_graph_nm(60, 150, 3));
+TEST(PrioritySource, RankDerivedVertexWeightsReproduceAnyFixedOrder) {
+  // Any fixed pi is the vertex_weight policy over weights n - rank(v):
+  // the engine's solution equals the sequential greedy MIS under pi, and
+  // its materialized order is pi itself.
+  CsrGraph g = CsrGraph::from_edges(random_graph_nm(60, 150, 3));
+  const uint64_t n = g.num_vertices();
+  const VertexOrder pi = VertexOrder::random(n, 5);
+  std::vector<Weight> weights(n);
+  for (VertexId v = 0; v < n; ++v)
+    weights[v] = static_cast<Weight>(n - pi.rank(v));
+  g.set_vertex_weights(std::move(weights));
+  const DynamicMis dm(
+      EngineOptions::with_source(g, PrioritySource::vertex_weight()));
+  EXPECT_EQ(dm.priority_source().policy(), PriorityPolicy::kVertexWeight);
   const DynamicMis from_seed(EngineOptions::seeded(g, 5));
-  EXPECT_TRUE(from_seed.has_priority_source());
   EXPECT_EQ(from_seed.priority_source().policy(),
             PriorityPolicy::kRandomHash);
-  // An explicit VertexOrder is described by no policy — handing a default
-  // source to oracle code would silently compute the wrong solution, so
-  // the accessor refuses instead.
-  const DynamicMis from_order(EngineOptions::with_order(
-      g, VertexOrder::random(g.num_vertices(), 5)));
-  EXPECT_FALSE(from_order.has_priority_source());
-  EXPECT_THROW(static_cast<void>(from_order.priority_source()),
-               CheckFailure);
+  EXPECT_EQ(dm.solution(), mis_sequential(g, pi).in_set);
+  EXPECT_TRUE(std::equal(dm.order().ranks().begin(), dm.order().ranks().end(),
+                         pi.ranks().begin(), pi.ranks().end()));
 }
 
 TEST(WeightHelpers, RandomWeightsAreDeterministicAndInRange) {

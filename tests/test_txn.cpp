@@ -57,11 +57,9 @@ MisState capture(const DynamicMis& dm) {
   s.active.resize(dm.num_vertices());
   for (VertexId v = 0; v < dm.num_vertices(); ++v)
     s.active[v] = dm.active(v) ? 1 : 0;
-  if (dm.has_priority_source()) {
-    s.keys.resize(dm.num_vertices());
-    for (VertexId v = 0; v < dm.num_vertices(); ++v)
-      s.keys[v] = dm.cached_vertex_key(v);
-  }
+  s.keys.resize(dm.num_vertices());
+  for (VertexId v = 0; v < dm.num_vertices(); ++v)
+    s.keys[v] = dm.cached_vertex_key(v);
   s.order_ranks.assign(dm.order().ranks().begin(), dm.order().ranks().end());
   s.lifetime = dm.lifetime_stats();
   return s;
@@ -457,6 +455,47 @@ TEST(TxnMis, CommitRunsDeferredCompaction) {
   EXPECT_GT(dm.graph().overlay_fraction(), 0.01);
   txn.commit();
   EXPECT_DOUBLE_EQ(dm.graph().overlay_fraction(), 0.0);  // folded at commit
+}
+
+// --- the shared engine seam, once per engine ------------------------
+
+/// The transactional seam and compaction deferral live in the shared
+/// engine core (dynamic/engine_core.hpp); both engines must reject the
+/// same misuse.
+template <typename Engine>
+class EngineSeam : public ::testing::Test {};
+using SeamEngines = ::testing::Types<DynamicMis, DynamicMatching>;
+TYPED_TEST_SUITE(EngineSeam, SeamEngines);
+
+TYPED_TEST(EngineSeam, MisuseThrowsAndCompactionWaitsForDetach) {
+  TypeParam engine(EngineOptions::seeded(
+      CsrGraph::from_edges(random_graph_nm(200, 600, 22)), 23u));
+  TxnJournal journal;
+
+  // No journal attached.
+  EXPECT_THROW(engine.txn_detach(), CheckFailure);
+  EXPECT_THROW((void)engine.txn_mark(), CheckFailure);
+  EXPECT_THROW(engine.txn_rollback(TxnMark{}), CheckFailure);
+  EXPECT_THROW(engine.txn_attach(nullptr), CheckFailure);
+
+  engine.txn_attach(&journal);
+  EXPECT_THROW(engine.txn_attach(&journal), CheckFailure);
+  TxnMark beyond = engine.txn_mark();
+  beyond.engine_records = journal.engine.size() + 1;
+  EXPECT_THROW(engine.txn_rollback(beyond), CheckFailure);
+  EXPECT_THROW(engine.compact(), CheckFailure);  // no inverse
+
+  // Over the threshold while attached: compaction waits for the detach.
+  engine.set_compaction_threshold(0.01);
+  const BatchStats stats = engine.apply_batch(UpdateBatch::random(
+      engine.num_vertices(), engine.graph().live_edge_list().edges(),
+      /*inserts=*/40, /*deletes=*/20, /*toggles=*/0, /*seed=*/24));
+  EXPECT_FALSE(stats.compacted);
+  EXPECT_GT(engine.graph().overlay_fraction(), 0.01);
+  EXPECT_FALSE(engine.compact_if_needed());
+  engine.txn_detach();
+  EXPECT_TRUE(engine.compact_if_needed());
+  EXPECT_DOUBLE_EQ(engine.graph().overlay_fraction(), 0.0);
 }
 
 // --- matching: the same contract one level up -----------------------

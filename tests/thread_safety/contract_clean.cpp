@@ -14,6 +14,7 @@
 #include "dynamic/dynamic_matching.hpp"
 #include "dynamic/dynamic_mis.hpp"
 #include "dynamic/overlay_graph.hpp"
+#include "dynamic/undo_log.hpp"
 #include "dynamic/update_batch.hpp"
 #include "parallel/arch.hpp"
 #include "support/thread_annotations.hpp"
@@ -42,6 +43,20 @@ void matching_writer(DynamicMatching& engine, const UpdateBatch& batch)
     PARGREEDY_REQUIRES(engine.writer_role_) {
   engine.apply_batch(batch);
   engine.compact_if_needed();
+}
+
+// The seams both engines inherit from the shared core (engine_core.hpp):
+// their REQUIRES(writer_role_) names the base's role, which is the one
+// the derived engine's writer holds.
+void matching_txn_writer(DynamicMatching& engine, TxnJournal& journal,
+                         const UpdateBatch& batch)
+    PARGREEDY_REQUIRES(engine.writer_role_) {
+  engine.compact_if_needed();
+  engine.txn_attach(&journal);
+  const TxnMark mark = engine.txn_mark();
+  engine.apply_batch(batch);
+  engine.txn_rollback(mark);
+  engine.txn_detach();
 }
 
 uint64_t matching_reader(const DynamicMatching& engine) {
