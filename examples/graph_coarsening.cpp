@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pargreedy.hpp"
@@ -49,7 +50,8 @@ Level coarsen(const CsrGraph& g, uint64_t seed) {
     const VertexId cv = out.parent[e.v];
     if (cu != cv) coarse_edges.add(cu, cv);
   }
-  out.graph = CsrGraph::from_edges(coarse_edges);  // dedupes multi-edges
+  // from_edges dedupes the multi-edges.
+  out.graph = CsrGraph::from_edges(std::move(coarse_edges));
   return out;
 }
 

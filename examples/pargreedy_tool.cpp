@@ -19,6 +19,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pargreedy.hpp"
@@ -110,7 +111,7 @@ int cmd_gen(const Options& o) {
     if (o.positional.size() < 5) usage("ws needs <n> <k> <beta>");
     el = watts_strogatz(arg(0), arg(1), std::stod(o.positional[4]), o.seed);
   } else usage("unknown family " + family);
-  const CsrGraph g = CsrGraph::from_edges(el);
+  const CsrGraph g = CsrGraph::from_edges(std::move(el));
   save_graph(out, g);
   std::cout << "wrote " << out << ": n=" << g.num_vertices()
             << " m=" << g.num_edges() << "\n";

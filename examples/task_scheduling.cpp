@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pargreedy.hpp"
@@ -41,7 +42,7 @@ CsrGraph make_conflict_graph(uint64_t tasks, uint64_t resources,
       last_user[r] = static_cast<VertexId>(t);
     }
   }
-  return CsrGraph::from_edges(conflicts);
+  return CsrGraph::from_edges(std::move(conflicts));
 }
 
 }  // namespace

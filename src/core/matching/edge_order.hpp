@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "parallel/uninit_vector.hpp"
 
 namespace pargreedy {
 
@@ -41,7 +42,7 @@ class EdgeOrder {
 
  private:
   std::vector<EdgeId> order_;
-  std::vector<uint32_t> rank_;
+  UninitVector<uint32_t> rank_;
 };
 
 }  // namespace pargreedy

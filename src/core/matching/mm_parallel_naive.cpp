@@ -40,7 +40,7 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
   std::vector<uint8_t>& status = result.in_matching;
   RunProfile& prof = result.profile;
 
-  std::vector<EdgeId> active(order.order().begin(), order.order().end());
+  UninitVector<EdgeId> active(order.order().begin(), order.order().end());
 
   // Scans e's adjacency (all edges sharing an endpoint with e).
   auto for_each_adjacent = [&](EdgeId e, auto&& fn) {
@@ -97,7 +97,7 @@ MatchResult mm_parallel_naive(const CsrGraph& g, const EdgeOrder& order,
         },
         [](int64_t a, int64_t b) { return a + b; }));
 
-    const std::vector<EdgeId> next =
+    const UninitVector<EdgeId> next =
         pack(std::span<const EdgeId>(active), [&](int64_t i) {
           return load_status(status, active[static_cast<std::size_t>(i)]) ==
                  EStatus::kUndecided;

@@ -119,7 +119,7 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
 
   // Initial ready set: every vertex proposes its first live edge.
   uint64_t token = 1;
-  std::vector<EdgeId> ready;
+  UninitVector<EdgeId> ready;
   {
     std::vector<EdgeId> slots(n, kInvalidEdge);
     parallel_for(0, static_cast<int64_t>(n), [&](int64_t vi) {
@@ -177,7 +177,7 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
         }
       }
     });
-    const std::vector<VertexId> far =
+    const UninitVector<VertexId> far =
         pack(std::span<const VertexId>(far_slots), [&](int64_t i) {
           return far_slots[static_cast<std::size_t>(i)] != kInvalidVertex;
         });
@@ -190,7 +190,7 @@ MatchResult mm_rootset(const CsrGraph& g, const EdgeOrder& order,
       if (!claim_token(vertex_stamp[w], token)) return;
       ready_slots[static_cast<std::size_t>(i)] = mmcheck(w, token);
     });
-    std::vector<EdgeId> next_ready =
+    UninitVector<EdgeId> next_ready =
         pack(std::span<const EdgeId>(ready_slots), [&](int64_t i) {
           return ready_slots[static_cast<std::size_t>(i)] != kInvalidEdge;
         });

@@ -47,7 +47,7 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
   std::vector<uint8_t>& status = result.in_set;
   RunProfile& prof = result.profile;
 
-  std::vector<VertexId> live(n);
+  UninitVector<VertexId> live(n);
   parallel_for(0, static_cast<int64_t>(n), [&](int64_t v) {
     live[static_cast<std::size_t>(v)] = static_cast<VertexId>(v);
   });
@@ -104,7 +104,7 @@ MisResult luby_mis(const CsrGraph& g, uint64_t seed, ProfileLevel level) {
         },
         [](int64_t a, int64_t b) { return a + b; }));
 
-    const std::vector<VertexId> next =
+    const UninitVector<VertexId> next =
         pack(std::span<const VertexId>(live), [&](int64_t i) {
           return load_status(status, live[static_cast<std::size_t>(i)]) ==
                  VStatus::kUndecided;

@@ -44,7 +44,7 @@ MisResult mis_parallel_naive(const CsrGraph& g, const VertexOrder& order,
   std::vector<uint8_t>& status = result.in_set;  // reused: kIn==1 at the end
   static_assert(static_cast<uint8_t>(VStatus::kUndecided) == 0);
 
-  std::vector<VertexId> active(order.order().begin(), order.order().end());
+  UninitVector<VertexId> active(order.order().begin(), order.order().end());
   RunProfile& prof = result.profile;
 
   while (!active.empty()) {
@@ -92,7 +92,7 @@ MisResult mis_parallel_naive(const CsrGraph& g, const VertexOrder& order,
         },
         [](int64_t a, int64_t b) { return a + b; }));
 
-    const std::vector<VertexId> next =
+    const UninitVector<VertexId> next =
         pack(std::span<const VertexId>(active), [&](int64_t i) {
           return load_status(status, active[static_cast<std::size_t>(i)]) ==
                  VStatus::kUndecided;

@@ -82,11 +82,12 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
   // claim_stamp[v]: last step in which a misCheck of v was claimed.
   std::vector<std::atomic<uint64_t>> claim_stamp(n);
 
-  std::vector<VertexId> roots = pack_index<VertexId>(
+  const std::vector<VertexId> sources = pack_index<VertexId>(
       static_cast<int64_t>(n), [&](int64_t v) {
         return parent_offset[static_cast<std::size_t>(v)] ==
                parent_offset[static_cast<std::size_t>(v) + 1];
       });
+  UninitVector<VertexId> roots(sources.begin(), sources.end());
 
   uint64_t step = 0;
   while (!roots.empty()) {
@@ -126,7 +127,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
         ++at;
       }
     });
-    const std::vector<VertexId> removed =
+    const UninitVector<VertexId> removed =
         pack(std::span<const VertexId>(removed_slots), [&](int64_t i) {
           return removed_slots[static_cast<std::size_t>(i)] != kInvalidVertex;
         });
@@ -177,7 +178,7 @@ MisResult mis_rootset(const CsrGraph& g, const VertexOrder& order,
         if (cur == end) root_slots[slot] = x;  // no live parents: new root
       }
     });
-    std::vector<VertexId> next_roots =
+    UninitVector<VertexId> next_roots =
         pack(std::span<const VertexId>(root_slots), [&](int64_t i) {
           return root_slots[static_cast<std::size_t>(i)] != kInvalidVertex;
         });

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "parallel/uninit_vector.hpp"
 
 namespace pargreedy {
 
@@ -53,8 +54,8 @@ class VertexOrder {
   [[nodiscard]] bool is_identity() const { return identity_; }
 
  private:
-  std::vector<VertexId> order_;  // order_[i] = i-th vertex
-  std::vector<uint32_t> rank_;   // rank_[v]  = position of v
+  std::vector<VertexId> order_;   // order_[i] = i-th vertex
+  UninitVector<uint32_t> rank_;  // rank_[v]  = position of v
   bool identity_ = false;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "support/check.hpp"
@@ -239,7 +240,7 @@ CsrGraph OverlayGraph::gather_csr(std::span<const uint8_t> active) const {
   std::sort(by_rank.begin(), by_rank.end(), [&](uint32_t a, uint32_t b) {
     return edges[a] < edges[b];
   });
-  std::vector<Edge> sorted_edges(edges.size());
+  UninitVector<Edge> sorted_edges(edges.size());
   std::vector<Weight> sorted_weights(edge_weighted_ ? edges.size() : 0);
   for (std::size_t i = 0; i < by_rank.size(); ++i) {
     sorted_edges[i] = edges[by_rank[i]];
@@ -269,7 +270,7 @@ CsrGraph OverlayGraph::active_subgraph(
   EdgeList filtered(num_vertices());
   for (const Edge& e : live.edges())
     if (active[e.u] && active[e.v]) filtered.add(e.u, e.v);
-  return CsrGraph::from_edges(filtered);
+  return CsrGraph::from_edges(std::move(filtered));
 }
 
 void OverlayGraph::undo_to(std::size_t mark, uint64_t epoch_at_mark) {

@@ -83,8 +83,8 @@ CliqueResult greedy_clique_prefix(const CsrGraph& g, const VertexOrder& order,
   // and every store targets the storing iteration's own vertex).
   std::vector<uint8_t>& status = result.in_clique;
 
-  std::vector<VertexId> active;  // rank-sorted (failures keep order,
-  active.reserve(window);        // refills append in rank order)
+  UninitVector<VertexId> active;  // rank-sorted (failures keep order,
+  active.reserve(window);         // refills append in rank order)
   uint64_t next = window < n ? window : n;
   for (uint64_t i = 0; i < next; ++i) active.push_back(order.nth(i));
 
@@ -143,7 +143,7 @@ CliqueResult greedy_clique_prefix(const CsrGraph& g, const VertexOrder& order,
     for (VertexId c : joined) accepted_ranks.push_back(order.rank(c));
     std::sort(accepted_ranks.begin(), accepted_ranks.end());
 
-    std::vector<VertexId> failed =
+    UninitVector<VertexId> failed =
         pack(std::span<const VertexId>(active), [&](int64_t i) {
           return status[active[static_cast<std::size_t>(i)]] == 0;
         });

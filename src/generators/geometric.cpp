@@ -95,7 +95,7 @@ EdgeList random_bipartite(uint64_t a, uint64_t b, uint64_t m, uint64_t seed) {
     draw_index += draws;
     accumulated = normalize_edges(accumulated);
   }
-  std::vector<Edge>& edges = accumulated.mutable_edges();
+  UninitVector<Edge>& edges = accumulated.mutable_edges();
   if (edges.size() > m) edges.resize(m);
   return accumulated;
 }

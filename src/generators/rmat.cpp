@@ -67,7 +67,7 @@ EdgeList rmat_graph(unsigned scale, uint64_t m, uint64_t seed, double a,
     if (have >= m) break;
     const uint64_t need = m - have;
     const uint64_t draws = need + need / 3 + 16;
-    std::vector<Edge>& out = accumulated.mutable_edges();
+    UninitVector<Edge>& out = accumulated.mutable_edges();
     const std::size_t base = out.size();
     out.resize(base + draws);
     const HashRng rng = HashRng(seed).child(0x524d4154 + (uint64_t)round);
@@ -79,7 +79,7 @@ EdgeList rmat_graph(unsigned scale, uint64_t m, uint64_t seed, double a,
     accumulated = normalize_edges(accumulated);
   }
   (void)d;  // d is implied by 1 - a - b - c in the quadrant choice
-  std::vector<Edge>& edges = accumulated.mutable_edges();
+  UninitVector<Edge>& edges = accumulated.mutable_edges();
   if (edges.size() > m) edges.resize(m);  // power-law: tail trim is benign
   return accumulated;
 }

@@ -20,7 +20,7 @@ EdgeList watts_strogatz(uint64_t n, uint64_t k, double beta, uint64_t seed) {
   const HashRng rng = HashRng(seed).child(0x57530000);
   const uint64_t half_k = k / 2;
   EdgeList edges(n);
-  std::vector<Edge>& out = edges.mutable_edges();
+  UninitVector<Edge>& out = edges.mutable_edges();
   out.resize(n * half_k);
   parallel_for(0, static_cast<int64_t>(n * half_k), [&](int64_t idx) {
     const uint64_t v = static_cast<uint64_t>(idx) / half_k;

@@ -18,10 +18,10 @@ bool all_finite(const std::vector<Weight>& weights) {
 
 }  // namespace
 
-CsrGraph CsrGraph::from_edges(const EdgeList& edges) {
+CsrGraph CsrGraph::from_edges(EdgeList edges) {
   if (first_noncanonical_edge(edges.edges(), edges.num_vertices()) ==
       edges.num_edges())
-    return build_csr_from_normalized(edges);
+    return build_csr_from_normalized(std::move(edges));
   return build_csr_from_normalized(normalize_edges(edges));
 }
 

@@ -13,6 +13,7 @@
 
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
+#include "parallel/uninit_vector.hpp"
 
 namespace pargreedy {
 
@@ -22,11 +23,12 @@ class CsrGraph {
 
   /// Builds a CSR graph from an arbitrary edge list. One parallel pass
   /// checks whether the input is already canonical (u < v < n, strictly
-  /// increasing, as every generator emits it); such input is built as is.
+  /// increasing, as every generator emits it); such input is built as is,
+  /// its edge table moved into the graph when the caller passes an rvalue.
   /// Anything else is normalized first (self loops and duplicates dropped,
   /// endpoints put in canonical order), and an endpoint >= n throws
   /// CheckFailure. Deterministic in the input.
-  static CsrGraph from_edges(const EdgeList& edges);
+  static CsrGraph from_edges(EdgeList edges);
 
   /// Number of vertices n.
   [[nodiscard]] uint64_t num_vertices() const noexcept { return num_vertices_; }
@@ -114,18 +116,19 @@ class CsrGraph {
   friend CsrGraph build_csr_from_normalized(EdgeList normalized);
 
   uint64_t num_vertices_ = 0;
-  std::vector<Offset> offsets_{0};     // n+1 entries
-  std::vector<VertexId> adjacency_;    // 2m entries
-  std::vector<EdgeId> incident_;       // 2m entries, parallel to adjacency_
-  std::vector<Edge> edges_;            // m canonical edges
+  UninitVector<Offset> offsets_{0};    // n+1 entries
+  UninitVector<VertexId> adjacency_;   // 2m entries
+  UninitVector<EdgeId> incident_;      // 2m entries, parallel to adjacency_
+  UninitVector<Edge> edges_;           // m canonical edges
   std::vector<Weight> vertex_weights_; // n entries, or empty (unweighted)
   std::vector<Weight> edge_weights_;   // m entries, or empty (unweighted)
 };
 
-/// Internal: builds the CSR arrays from an already-normalized edge list,
-/// taking ownership of its edge table. Exposed for the builder translation
-/// unit and for readers that have checked first_noncanonical_edge
-/// themselves; use CsrGraph::from_edges.
+/// Internal: builds the CSR arrays from a canonical edge list (what
+/// normalize_edges returns; first_noncanonical_edge(edges, n) == m, checked
+/// in debug builds), taking ownership of its edge table. Exposed for the
+/// builder translation unit and for readers that have checked
+/// first_noncanonical_edge themselves; use CsrGraph::from_edges.
 CsrGraph build_csr_from_normalized(EdgeList normalized);
 
 }  // namespace pargreedy

@@ -16,9 +16,10 @@ void EdgeList::add(VertexId u, VertexId v) {
 }
 
 bool EdgeList::endpoints_in_range() const {
-  for (const Edge& e : edges_)
-    if (e.u >= num_vertices_ || e.v >= num_vertices_) return false;
-  return true;
+  return count_if(0, static_cast<int64_t>(edges_.size()), [&](int64_t i) {
+           const Edge e = edges_[static_cast<std::size_t>(i)];
+           return e.u >= num_vertices_ || e.v >= num_vertices_;
+         }) == 0;
 }
 
 std::size_t first_noncanonical_edge(std::span<const Edge> edges,
@@ -32,7 +33,7 @@ std::size_t first_noncanonical_edge(std::span<const Edge> edges,
   }));
 }
 
-void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices) {
+void sort_edges(UninitVector<Edge>& edges, uint64_t num_vertices) {
   const int64_t m = static_cast<int64_t>(edges.size());
   if (m < 1 << 16 || num_vertices == 0) {
     std::sort(edges.begin(), edges.end());
@@ -43,7 +44,7 @@ void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices) {
   // edges on sparse graphs) sorted by v. Linear work but for the short
   // runs; the nested counting sort runs serially inside the parallel loop.
   const int64_t buckets = std::min<int64_t>(1024, (int64_t)num_vertices);
-  std::vector<Edge> scratch(edges.size());
+  UninitVector<Edge> scratch(edges.size());
   const std::vector<int64_t> offsets = counting_sort<Edge>(
       std::span<const Edge>(edges), std::span<Edge>(scratch), buckets,
       [&](const Edge& e) {
@@ -88,7 +89,7 @@ EdgeList normalize_edges(const EdgeList& in) {
                "edge list has endpoints >= num_vertices");
   const std::span<const Edge> raw = in.edges();
   // Drop self loops, then canonicalize what is left in place.
-  std::vector<Edge> no_loops = pack(raw, [&](int64_t i) {
+  UninitVector<Edge> no_loops = pack(raw, [&](int64_t i) {
     return !raw[static_cast<std::size_t>(i)].is_loop();
   });
   parallel_for(0, static_cast<int64_t>(no_loops.size()), [&](int64_t i) {
@@ -97,7 +98,7 @@ EdgeList normalize_edges(const EdgeList& in) {
   });
   sort_edges(no_loops, in.num_vertices());
   // Deduplicate (sorted, so adjacent equal edges collapse).
-  std::vector<Edge> unique =
+  UninitVector<Edge> unique =
       pack(std::span<const Edge>(no_loops), [&](int64_t i) {
         return i == 0 || !(no_loops[static_cast<std::size_t>(i)] ==
                            no_loops[static_cast<std::size_t>(i - 1)]);

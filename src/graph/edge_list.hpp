@@ -5,9 +5,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "parallel/uninit_vector.hpp"
 
 namespace pargreedy {
 
@@ -16,13 +18,24 @@ class EdgeList {
  public:
   EdgeList() = default;
   explicit EdgeList(uint64_t num_vertices) : num_vertices_(num_vertices) {}
-  EdgeList(uint64_t num_vertices, std::vector<Edge> edges)
+  EdgeList(uint64_t num_vertices, UninitVector<Edge> edges)
       : num_vertices_(num_vertices), edges_(std::move(edges)) {}
+
+  // Copies write the edge table in parallel.
+  EdgeList(const EdgeList& other)
+      : num_vertices_(other.num_vertices_),
+        edges_(parallel_copy(other.edges())) {}
+  EdgeList& operator=(const EdgeList& other) {
+    if (this != &other) *this = EdgeList(other);
+    return *this;
+  }
+  EdgeList(EdgeList&&) noexcept = default;
+  EdgeList& operator=(EdgeList&&) noexcept = default;
 
   [[nodiscard]] uint64_t num_vertices() const { return num_vertices_; }
   [[nodiscard]] uint64_t num_edges() const { return edges_.size(); }
   [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
-  [[nodiscard]] std::vector<Edge>& mutable_edges() { return edges_; }
+  [[nodiscard]] UninitVector<Edge>& mutable_edges() { return edges_; }
 
   /// Appends an edge; endpoints must be < num_vertices().
   void add(VertexId u, VertexId v);
@@ -35,7 +48,7 @@ class EdgeList {
 
  private:
   uint64_t num_vertices_ = 0;
-  std::vector<Edge> edges_;
+  UninitVector<Edge> edges_;
 };
 
 /// Returns a simple-graph edge list: self loops removed, endpoints put in
@@ -51,6 +64,6 @@ std::size_t first_noncanonical_edge(std::span<const Edge> edges,
                                     uint64_t num_vertices);
 
 /// Sorts edges by (u, v) in place, in parallel; deterministic.
-void sort_edges(std::vector<Edge>& edges, uint64_t num_vertices);
+void sort_edges(UninitVector<Edge>& edges, uint64_t num_vertices);
 
 }  // namespace pargreedy

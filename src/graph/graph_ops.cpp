@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
@@ -47,7 +48,7 @@ CsrGraph induced_subgraph(const CsrGraph& g,
         edges.add(remap[v], remap[w]);
     }
   }
-  return CsrGraph::from_edges(edges);
+  return CsrGraph::from_edges(std::move(edges));
 }
 
 CsrGraph line_graph(const CsrGraph& g) {
@@ -61,7 +62,7 @@ CsrGraph line_graph(const CsrGraph& g) {
       for (std::size_t j = i + 1; j < inc.size(); ++j)
         edges.add(static_cast<VertexId>(inc[i]), static_cast<VertexId>(inc[j]));
   }
-  return CsrGraph::from_edges(edges);
+  return CsrGraph::from_edges(std::move(edges));
 }
 
 CsrGraph complement_graph(const CsrGraph& g) {
@@ -74,7 +75,7 @@ CsrGraph complement_graph(const CsrGraph& g) {
       if (!adjacent[v]) edges.add(u, v);
     for (VertexId w : g.neighbors(u)) adjacent[w] = 0;
   }
-  return CsrGraph::from_edges(edges);
+  return CsrGraph::from_edges(std::move(edges));
 }
 
 namespace {
@@ -138,15 +139,14 @@ CsrGraph relabel_by_rank(const CsrGraph& g, const VertexOrder& order) {
   PG_CHECK_MSG(order.size() == g.num_vertices(),
                "ordering size != vertex count");
   EdgeList renamed(g.num_vertices());
-  renamed.reserve(g.num_edges());
-  std::vector<Edge>& out = renamed.mutable_edges();
+  UninitVector<Edge>& out = renamed.mutable_edges();
   out.resize(g.num_edges());
   parallel_for(0, static_cast<int64_t>(g.num_edges()), [&](int64_t e) {
     const Edge ed = g.edge(static_cast<EdgeId>(e));
     out[static_cast<std::size_t>(e)] =
         Edge{order.rank(ed.u), order.rank(ed.v)}.canonical();
   });
-  return CsrGraph::from_edges(renamed);
+  return CsrGraph::from_edges(std::move(renamed));
 }
 
 std::vector<VertexId> connected_components(const CsrGraph& g) {

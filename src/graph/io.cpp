@@ -21,6 +21,17 @@ uint64_t bytes_left(std::istream& in, const std::filesystem::path& path) {
   return size > consumed ? size - consumed : 0;
 }
 
+/// Isolated vertices take no bytes in the edge-list and binary formats, so
+/// a few corrupt bytes could otherwise declare 2^32 vertices and demand a
+/// 32 GiB offset array. A file may declare up to 2^20 vertices (an 8 MiB
+/// offset array) freely; past that, it must hold a byte per 8 vertices.
+void check_vertex_count(uint64_t n, const std::filesystem::path& path) {
+  const uint64_t size = std::filesystem::file_size(path);
+  PG_CHECK_MSG(n <= std::max(uint64_t{1} << 20, 8 * size),
+               "vertex count " << n << " is out of proportion to the "
+                               << size << " bytes of " << path);
+}
+
 }  // namespace
 
 void write_adjacency_graph(const std::filesystem::path& path,
@@ -70,7 +81,7 @@ CsrGraph read_adjacency_graph(const std::filesystem::path& path) {
       if (u < targets[i]) edges.add(u, targets[i]);
     }
   }
-  return CsrGraph::from_edges(edges);
+  return CsrGraph::from_edges(std::move(edges));
 }
 
 void write_edge_list(const std::filesystem::path& path,
@@ -89,13 +100,16 @@ EdgeList read_edge_list(const std::filesystem::path& path,
   std::string magic;
   in >> magic;
   PG_CHECK_MSG(magic == "EdgeArray", "bad magic '" << magic << "' in " << path);
-  std::vector<Edge> edges;
+  UninitVector<Edge> edges;
   uint64_t u = 0, v = 0;
   uint64_t max_endpoint = 0;
   while (in >> u >> v) {
+    PG_CHECK_MSG(u < kInvalidVertex && v < kInvalidVertex,
+                 "endpoint beyond the vertex id range in " << path);
     max_endpoint = std::max({max_endpoint, u, v});
     edges.push_back(Edge{static_cast<VertexId>(u), static_cast<VertexId>(v)});
   }
+  if (!edges.empty()) check_vertex_count(max_endpoint + 1, path);
   const uint64_t n =
       std::max(num_vertices, edges.empty() ? uint64_t{0} : max_endpoint + 1);
   return EdgeList(n, std::move(edges));
@@ -140,6 +154,7 @@ CsrGraph read_binary_graph(const std::filesystem::path& path) {
   PG_CHECK_MSG(n <= kInvalidVertex,
                "vertex count " << n << " exceeds the vertex id range in "
                                << path);
+  check_vertex_count(n, path);
   // Bound m by the bytes actually present before allocating the table.
   // Dividing (not multiplying) also keeps m * sizeof(Edge) from
   // overflowing.

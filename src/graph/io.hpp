@@ -30,7 +30,9 @@ CsrGraph read_adjacency_graph(const std::filesystem::path& path);
 void write_edge_list(const std::filesystem::path& path, const EdgeList& edges);
 
 /// Reads an EdgeArray file; `num_vertices` is inferred as 1 + max endpoint
-/// unless a larger value is given.
+/// unless a larger value is given. Throws CheckFailure on an endpoint past
+/// the 32-bit id range, or an inferred vertex count out of proportion to
+/// the file (over 2^20 and over 8 per byte of the file).
 EdgeList read_edge_list(const std::filesystem::path& path,
                         uint64_t num_vertices = 0);
 
@@ -42,9 +44,10 @@ void write_binary_graph(const std::filesystem::path& path,
 
 /// Reads a binary graph written by write_binary_graph. Throws CheckFailure
 /// on bad magic, truncation, an edge count the file is too short to hold
-/// (checked before allocating), a vertex count beyond the 32-bit id range,
-/// out-of-range endpoints, or an edge table that is not canonical (every
-/// edge u < v, strictly increasing).
+/// (checked before allocating), a vertex count beyond the 32-bit id range
+/// or out of proportion to the file (over 2^20 and over 8 per byte of the
+/// file), out-of-range endpoints, or an edge table that is not canonical
+/// (every edge u < v, strictly increasing).
 CsrGraph read_binary_graph(const std::filesystem::path& path);
 
 }  // namespace pargreedy

@@ -14,24 +14,24 @@
 
 namespace pargreedy {
 
-/// Stable-sorts `in` into `out` by key(in[i]) in [0, num_buckets).
-/// Returns the bucket boundaries: offsets[b] is the first index of bucket b
-/// in `out`, with offsets[num_buckets] == in.size().
+/// Stable counting sort of the items 0, ..., n-1 by key(i) in
+/// [0, num_buckets): calls place(pos, i) once per item with its sorted
+/// position. Returns the bucket boundaries: offsets[b] is the first
+/// position of bucket b, with offsets[num_buckets] == n.
 ///
-/// Parallel over blocks of the input with per-block histograms; the scatter
+/// Parallel over blocks of the items with per-block histograms; the scatter
 /// order within a bucket follows (block, position) order, which preserves
-/// input order — i.e. the sort is stable.
-template <typename T, typename Key>
-std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
-                                   int64_t num_buckets, Key&& key) {
-  const int64_t n = static_cast<int64_t>(in.size());
-  PG_CHECK(static_cast<int64_t>(out.size()) == n);
+/// item order — i.e. the sort is stable.
+template <typename Key, typename Place>
+std::vector<int64_t> counting_sort_index(int64_t n, int64_t num_buckets,
+                                         Key&& key, Place&& place) {
+  PG_CHECK(n >= 0);
   PG_CHECK(num_buckets >= 1);
 
   if (n < 4 * kDefaultGrain || num_workers() == 1 || in_parallel()) {
     std::vector<int64_t> count(static_cast<std::size_t>(num_buckets + 1), 0);
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t b = key(in[static_cast<std::size_t>(i)]);
+      const int64_t b = key(i);
       PG_DCHECK(b >= 0 && b < num_buckets);
       ++count[static_cast<std::size_t>(b) + 1];
     }
@@ -39,11 +39,8 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
       count[static_cast<std::size_t>(b) + 1] +=
           count[static_cast<std::size_t>(b)];
     std::vector<int64_t> cursor(count.begin(), count.end() - 1);
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t b = key(in[static_cast<std::size_t>(i)]);
-      out[static_cast<std::size_t>(cursor[static_cast<std::size_t>(b)]++)] =
-          in[static_cast<std::size_t>(i)];
-    }
+    for (int64_t i = 0; i < n; ++i)
+      place(cursor[static_cast<std::size_t>(key(i))]++, i);
     return count;
   }
 
@@ -54,7 +51,7 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
   parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
     int64_t* h = hist.data() + b * num_buckets;
     for (int64_t i = lo; i < hi; ++i) {
-      const int64_t k = key(in[static_cast<std::size_t>(i)]);
+      const int64_t k = key(i);
       PG_DCHECK(k >= 0 && k < num_buckets);
       ++h[k];
     }
@@ -76,13 +73,23 @@ std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
   PG_CHECK(running == n);
   parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
     int64_t* cursor = hist.data() + b * num_buckets;
-    for (int64_t i = lo; i < hi; ++i) {
-      const int64_t k = key(in[static_cast<std::size_t>(i)]);
-      out[static_cast<std::size_t>(cursor[k]++)] =
-          in[static_cast<std::size_t>(i)];
-    }
+    for (int64_t i = lo; i < hi; ++i) place(cursor[key(i)]++, i);
   });
   return offsets;
+}
+
+/// Stable-sorts `in` into `out` by key(in[i]) in [0, num_buckets).
+/// Returns the bucket boundaries as counting_sort_index does.
+template <typename T, typename Key>
+std::vector<int64_t> counting_sort(std::span<const T> in, std::span<T> out,
+                                   int64_t num_buckets, Key&& key) {
+  PG_CHECK(out.size() == in.size());
+  return counting_sort_index(
+      static_cast<int64_t>(in.size()), num_buckets,
+      [&](int64_t i) { return key(in[static_cast<std::size_t>(i)]); },
+      [&](int64_t pos, int64_t i) {
+        out[static_cast<std::size_t>(pos)] = in[static_cast<std::size_t>(i)];
+      });
 }
 
 }  // namespace pargreedy

@@ -12,15 +12,17 @@
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
+#include "parallel/uninit_vector.hpp"
 
 namespace pargreedy {
 
 /// Returns the values in[i] for which flag(i) is true, order-preserving.
+/// The output is an UninitVector that the scatter pass first-touches.
 template <typename T, typename Flag>
-std::vector<T> pack(std::span<const T> in, Flag&& flag) {
+UninitVector<T> pack(std::span<const T> in, Flag&& flag) {
   const int64_t n = static_cast<int64_t>(in.size());
   if (n < 2 * kDefaultGrain || num_workers() == 1 || in_parallel()) {
-    std::vector<T> out;
+    UninitVector<T> out;
     for (int64_t i = 0; i < n; ++i)
       if (flag(i)) out.push_back(in[static_cast<std::size_t>(i)]);
     return out;
@@ -33,7 +35,7 @@ std::vector<T> pack(std::span<const T> in, Flag&& flag) {
     block_count[static_cast<std::size_t>(b)] = c;
   });
   const int64_t total = exclusive_scan_inplace(std::span<int64_t>(block_count));
-  std::vector<T> out(static_cast<std::size_t>(total));
+  UninitVector<T> out(static_cast<std::size_t>(total));
   parallel_blocks(n, [&](int64_t b, int64_t lo, int64_t hi) {
     int64_t pos = block_count[static_cast<std::size_t>(b)];
     for (int64_t i = lo; i < hi; ++i)

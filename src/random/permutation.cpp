@@ -29,7 +29,8 @@ void sort_by_key_then_id(std::span<uint32_t> ids, Key&& key) {
     for (auto it = first; it != last; ++it) *it = run[it - first].second;
   };
   if (ids.size() < 1 << 16) return sort_run(ids.begin(), ids.end());
-  const std::vector<uint32_t> scratch(ids.begin(), ids.end());
+  const UninitVector<uint32_t> scratch =
+      parallel_copy(std::span<const uint32_t>(ids));
   const std::vector<int64_t> offsets = counting_sort<uint32_t>(
       std::span<const uint32_t>(scratch), ids, kSortBuckets,
       [&](uint32_t v) {
@@ -70,8 +71,8 @@ std::vector<uint32_t> fisher_yates_permutation(uint64_t n, Xoshiro256& rng) {
   return perm;
 }
 
-std::vector<uint32_t> invert_permutation(std::span<const uint32_t> perm) {
-  std::vector<uint32_t> rank(perm.size());
+UninitVector<uint32_t> invert_permutation(std::span<const uint32_t> perm) {
+  UninitVector<uint32_t> rank(perm.size());
   parallel_for(0, static_cast<int64_t>(perm.size()), [&](int64_t i) {
     rank[perm[static_cast<std::size_t>(i)]] = static_cast<uint32_t>(i);
   });

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "parallel/uninit_vector.hpp"
 #include "random/xoshiro.hpp"
 
 namespace pargreedy {
@@ -24,8 +25,9 @@ std::vector<uint32_t> random_permutation(uint64_t n, uint64_t seed);
 /// implementation used to cross-check random_permutation's uniformity.
 std::vector<uint32_t> fisher_yates_permutation(uint64_t n, Xoshiro256& rng);
 
-/// Inverse of a permutation: rank[perm[i]] = i. Parallel, linear work.
-std::vector<uint32_t> invert_permutation(std::span<const uint32_t> perm);
+/// Inverse of a permutation: rank[perm[i]] = i. Parallel, linear work;
+/// `perm` must be a permutation, so that every entry of rank is written.
+UninitVector<uint32_t> invert_permutation(std::span<const uint32_t> perm);
 
 /// True iff `perm` is a permutation of 0..n-1.
 bool is_valid_permutation(std::span<const uint32_t> perm);

@@ -53,7 +53,7 @@ SpecForStats speculative_for(Step& step, int64_t start, int64_t end,
       window_size < 1 ? 1 : (window_size > total ? total : window_size);
 
   SpecForStats stats;
-  std::vector<int64_t> active;
+  UninitVector<int64_t> active;
   active.reserve(static_cast<std::size_t>(window));
   int64_t next = start + window < end ? start + window : end;
   for (int64_t i = start; i < next; ++i) active.push_back(i);
@@ -82,7 +82,7 @@ SpecForStats speculative_for(Step& step, int64_t start, int64_t end,
           step.commit(active[static_cast<std::size_t>(i)]) ? 1 : 0;
     });
 
-    std::vector<int64_t> failed =
+    UninitVector<int64_t> failed =
         pack(std::span<const int64_t>(active), [&](int64_t i) {
           return resolved[static_cast<std::size_t>(i)] == 0;
         });

@@ -149,6 +149,15 @@ TEST_F(BinaryIoTest, OversizedHeaderThrowsBeforeAllocating) {
   wide.write(reinterpret_cast<const char*>(&zero), 8);
   wide.close();
   EXPECT_THROW(read_binary_graph(file("wide.pgrb")), CheckFailure);
+  // Inside the id range, but 2^31 isolated vertices (a 16 GiB offset
+  // array) from a 20-byte file.
+  std::ofstream sparse(file("sparse.pgrb"), std::ios::binary);
+  sparse.write("PGRB", 4);
+  const uint64_t many = uint64_t{1} << 31;
+  sparse.write(reinterpret_cast<const char*>(&many), 8);
+  sparse.write(reinterpret_cast<const char*>(&zero), 8);
+  sparse.close();
+  EXPECT_THROW(read_binary_graph(file("sparse.pgrb")), CheckFailure);
 }
 
 TEST_F(BinaryIoTest, NonCanonicalEdgeTableThrows) {

@@ -217,30 +217,30 @@ void expect_same_csr(const CsrGraph& a, const CsrGraph& b) {
 
 TEST(CsrGraph, FromEdgesDetectsOneDefectInLargeCanonicalInput) {
   const EdgeList canonical = random_graph_nm(20'000, 100'000, 11);
-  const std::vector<Edge> base(canonical.edges().begin(),
-                               canonical.edges().end());
+  const UninitVector<Edge> base(canonical.edges().begin(),
+                                canonical.edges().end());
   ASSERT_GT(base.size(), std::size_t{1} << 16);
   constexpr std::size_t kStraddle = std::size_t{1} << 16;
 
-  std::vector<std::pair<const char*, std::vector<Edge>>> variants;
+  std::vector<std::pair<const char*, UninitVector<Edge>>> variants;
   {
-    std::vector<Edge> dup = base;
+    UninitVector<Edge> dup = base;
     dup.insert(dup.begin() + 70'000, dup[70'000]);
     variants.emplace_back("duplicate", std::move(dup));
   }
   {
-    std::vector<Edge> reversed = base;
+    UninitVector<Edge> reversed = base;
     std::swap(reversed[40'000].u, reversed[40'000].v);
     variants.emplace_back("reversed pair", std::move(reversed));
   }
   {
-    std::vector<Edge> loop = base;
+    UninitVector<Edge> loop = base;
     const VertexId u = loop[90'000].u;
     loop.insert(loop.begin() + 90'000, Edge{u, u});
     variants.emplace_back("self-loop", std::move(loop));
   }
   {
-    std::vector<Edge> swapped = base;
+    UninitVector<Edge> swapped = base;
     std::swap(swapped[kStraddle - 1], swapped[kStraddle]);
     variants.emplace_back("out-of-order pair", std::move(swapped));
   }
@@ -260,13 +260,118 @@ TEST(CsrGraph, FromEdgesDetectsOneDefectInLargeCanonicalInput) {
       expect_same_csr(built, reference);
     }
     // Still in canonical order, but v == n: must fail, not build.
-    std::vector<Edge> out_of_range = base;
+    UninitVector<Edge> out_of_range = base;
     out_of_range.push_back(Edge{
         base.back().u, static_cast<VertexId>(canonical.num_vertices())});
     EXPECT_THROW(CsrGraph::from_edges(EdgeList(canonical.num_vertices(),
                                                std::move(out_of_range))),
                  CheckFailure)
         << "workers " << workers;
+  }
+}
+
+// The builder against a reference: both arcs of every edge, in edge-id
+// order, stable-sorted by source. That is the CSR layout by definition
+// (each row lists its incident edges by increasing id), whatever way the
+// builder gets there.
+struct ArcReference {
+  std::vector<Offset> offsets;
+  std::vector<VertexId> adjacency;
+  std::vector<EdgeId> incident;
+};
+
+ArcReference stable_arc_sort(const EdgeList& canonical) {
+  struct Arc {
+    VertexId src;
+    VertexId dst;
+    EdgeId id;
+  };
+  const std::span<const Edge> edges = canonical.edges();
+  std::vector<Arc> arcs;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto id = static_cast<EdgeId>(i);
+    arcs.push_back(Arc{edges[i].u, edges[i].v, id});
+    arcs.push_back(Arc{edges[i].v, edges[i].u, id});
+  }
+  std::stable_sort(arcs.begin(), arcs.end(),
+                   [](const Arc& a, const Arc& b) { return a.src < b.src; });
+  ArcReference ref;
+  ref.offsets.assign(canonical.num_vertices() + 1, 0);
+  for (const Arc& a : arcs) {
+    ++ref.offsets[a.src + 1];
+    ref.adjacency.push_back(a.dst);
+    ref.incident.push_back(a.id);
+  }
+  for (std::size_t v = 0; v < canonical.num_vertices(); ++v)
+    ref.offsets[v + 1] += ref.offsets[v];
+  return ref;
+}
+
+EdgeList canonical_from(uint64_t n, const std::vector<Edge>& raw) {
+  EdgeList el(n);
+  for (const Edge& e : raw) el.add(e.u, e.v);
+  return normalize_edges(el);
+}
+
+TEST(CsrGraph, CanonicalBuildMatchesStableArcSort) {
+  std::vector<std::pair<std::string, EdgeList>> cases;
+  const auto star = [](uint64_t n, VertexId hub) {
+    std::vector<Edge> raw;
+    for (VertexId v = 0; v < n; ++v)
+      if (v != hub) raw.push_back(Edge{hub, v});
+    return canonical_from(n, raw);
+  };
+  // Hub 0: leaves have only lower neighbours; hub n-1: only upper; a
+  // middle hub has both. 5000 spokes is more than any one bucket holds.
+  cases.emplace_back("star hub 0", star(5'000, 0));
+  cases.emplace_back("star hub n-1", star(5'000, 4'999));
+  cases.emplace_back("star hub middle", star(5'000, 2'500));
+  cases.emplace_back("n = 1, m = 0", EdgeList(1));
+  cases.emplace_back("n = 0", EdgeList(0));
+  cases.emplace_back("edgeless n = 5000", EdgeList(5'000));
+  {
+    // Isolated vertices: edges only among the even ids.
+    std::vector<Edge> raw;
+    for (uint32_t i = 0; i < 20'000; ++i)
+      raw.push_back(Edge{static_cast<VertexId>(2 * (hash64(5, 2 * i) % 3'000)),
+                         static_cast<VertexId>(
+                             2 * (hash64(5, 2 * i + 1) % 3'000))});
+    cases.emplace_back("isolated odd vertices", canonical_from(6'000, raw));
+  }
+  // n < 1024: one bucket per vertex.
+  cases.emplace_back("n = 300 dense", random_graph_nm(300, 30'000, 3));
+  {
+    // Every edge among ids 0..40 of n = 100000: one bucket holds them all.
+    std::vector<Edge> raw;
+    for (uint32_t i = 0; i < 5'000; ++i)
+      raw.push_back(Edge{static_cast<VertexId>(hash64(6, 2 * i) % 41),
+                         static_cast<VertexId>(hash64(6, 2 * i + 1) % 41)});
+    cases.emplace_back("one bucket", canonical_from(100'000, raw));
+  }
+  // Edge counts on both sides of 2^16.
+  cases.emplace_back("m = 60000", random_graph_nm(20'000, 60'000, 4));
+  cases.emplace_back("m = 70000", random_graph_nm(20'000, 70'000, 5));
+  cases.emplace_back("rmat m = 200000",
+                     normalize_edges(rmat_graph(15, 200'000, 6)));
+
+  for (const auto& [name, canonical] : cases) {
+    ASSERT_EQ(first_noncanonical_edge(canonical.edges(),
+                                      canonical.num_vertices()),
+              canonical.num_edges())
+        << name;
+    const ArcReference ref = stable_arc_sort(canonical);
+    for (const int workers : {1, 3, 4}) {
+      SCOPED_TRACE(name + " at workers " + std::to_string(workers));
+      ScopedNumWorkers guard(workers);
+      const CsrGraph g = CsrGraph::from_edges(canonical);
+      EXPECT_TRUE(validate_csr(g).empty());
+      EXPECT_TRUE(std::ranges::equal(g.offsets(), ref.offsets));
+      EXPECT_TRUE(std::ranges::equal(g.adjacency(), ref.adjacency));
+      std::vector<EdgeId> incident;
+      for (VertexId v = 0; v < g.num_vertices(); ++v)
+        for (const EdgeId e : g.incident_edges(v)) incident.push_back(e);
+      EXPECT_EQ(incident, ref.incident);
+    }
   }
 }
 

@@ -188,12 +188,12 @@ TEST(FirstNoncanonicalEdge, NamesTheFirstDefect) {
 
 TEST(SortEdges, SortsLexicographically) {
   ScopedNumWorkers guard(4);
-  std::vector<Edge> edges;
+  UninitVector<Edge> edges;
   for (uint32_t i = 0; i < 10'000; ++i) {
     edges.push_back(Edge{static_cast<VertexId>(hash64(2, 2 * i) % 300),
                          static_cast<VertexId>(hash64(2, 2 * i + 1) % 300)});
   }
-  std::vector<Edge> expect = edges;
+  UninitVector<Edge> expect = edges;
   std::sort(expect.begin(), expect.end());
   sort_edges(edges, 300);
   EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
@@ -204,15 +204,15 @@ TEST(SortEdges, LargeInputsMatchStdSort) {
   // Above the 2^16 threshold of the bucketed path: a dense list (long runs
   // of one u, duplicates) and one whose ids are far sparser than its edges.
   for (const uint64_t n : {uint64_t{1'000}, uint64_t{1} << 31}) {
-    std::vector<Edge> edges;
+    UninitVector<Edge> edges;
     for (uint32_t i = 0; i < 100'000; ++i)
       edges.push_back(Edge{static_cast<VertexId>(hash64(4, 2 * i) % n),
                            static_cast<VertexId>(hash64(4, 2 * i + 1) % n)});
-    std::vector<Edge> expect = edges;
+    UninitVector<Edge> expect = edges;
     std::sort(expect.begin(), expect.end());
     for (const int workers : {1, 4}) {
       ScopedNumWorkers guard(workers);
-      std::vector<Edge> got = edges;
+      UninitVector<Edge> got = edges;
       sort_edges(got, n);
       EXPECT_EQ(got, expect) << "n " << n << " workers " << workers;
     }
@@ -220,10 +220,10 @@ TEST(SortEdges, LargeInputsMatchStdSort) {
 }
 
 TEST(SortEdges, EmptyAndSingle) {
-  std::vector<Edge> empty;
+  UninitVector<Edge> empty;
   sort_edges(empty, 10);
   EXPECT_TRUE(empty.empty());
-  std::vector<Edge> one{Edge{1, 2}};
+  UninitVector<Edge> one{Edge{1, 2}};
   sort_edges(one, 10);
   EXPECT_EQ(one[0], (Edge{1, 2}));
 }

@@ -71,7 +71,7 @@ TEST_P(Fuzz, PackMatchesStdCopyIf) {
   auto keep = [&](int64_t i) {
     return in[static_cast<std::size_t>(i)] < threshold;
   };
-  std::vector<uint64_t> expect;
+  UninitVector<uint64_t> expect;
   for (int64_t i = 0; i < n; ++i)
     if (keep(i)) expect.push_back(in[static_cast<std::size_t>(i)]);
   EXPECT_EQ(pack(std::span<const uint64_t>(in), keep), expect);

@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "generators/generators.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/graph_ops.hpp"
 #include "graph/validate.hpp"
 #include "parallel/arch.hpp"
+#include "random/hash.hpp"
 #include "support/check.hpp"
 
 namespace pargreedy {
@@ -147,9 +149,69 @@ TEST(RandomGraph, DenseRequestStillExact) {
   const uint64_t max_m = n * (n - 1) / 2;
   const EdgeList el = random_graph_nm(n, max_m * 8 / 10, 6);
   EXPECT_EQ(el.num_edges(), max_m * 8 / 10);
+  // 98% and 100%: more than 64 rounds of the sparse-setting slack.
+  EXPECT_EQ(random_graph_nm(300, 44'000, 6).num_edges(), 44'000u);
+  EXPECT_EQ(random_graph_nm(n, max_m, 6).num_edges(), max_m);
 }
 
 // -------------------------------------------------------------- G(n, p) ---
+
+// random_graph_nm with its trim done the plain way: sample in rounds as the
+// generator does, then keep the m edges with the smallest cut keys, found
+// by one std::nth_element over all of them.
+EdgeList nm_with_nth_element_trim(uint64_t n, uint64_t m, uint64_t seed) {
+  EdgeList accumulated(n);
+  uint64_t draw_index = 0;
+  const uint64_t pairs = n * (n - 1) / 2;
+  for (uint64_t round = 0; accumulated.num_edges() < m; ++round) {
+    const uint64_t have = accumulated.num_edges();
+    const uint64_t need = m - have;
+    const uint64_t draws =
+        round < 64 ? need + need / 6 + 16
+                   : static_cast<uint64_t>(static_cast<__uint128_t>(need) *
+                                           (pairs + n) / (pairs - have)) +
+                         16;
+    const HashRng rng = HashRng(seed).child(0x45520000 + round);
+    for (uint64_t i = 0; i < draws; ++i) {
+      const uint64_t d = draw_index + i;
+      accumulated.add(static_cast<VertexId>(rng.range(2 * d, n)),
+                      static_cast<VertexId>(rng.range(2 * d + 1, n)));
+    }
+    draw_index += draws;
+    accumulated = normalize_edges(accumulated);
+  }
+  const std::span<const Edge> all = accumulated.edges();
+  if (all.size() <= m) return accumulated;
+  const HashRng cut = HashRng(seed).child(0x43555400);
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < all.size(); ++i) keys.push_back(cut.bits(i));
+  std::nth_element(keys.begin(), keys.begin() + (m - 1), keys.end());
+  EdgeList kept(n);
+  for (uint64_t i = 0; i < all.size(); ++i)
+    if (cut.bits(i) <= keys[m - 1]) kept.add(all[i].u, all[i].v);
+  return kept;
+}
+
+TEST(RandomGraph, TrimMatchesNthElementReference) {
+  struct Case {
+    uint64_t n;
+    uint64_t m;
+  };
+  // Near-complete (over 64 rounds), an overshoot several times m (the 16
+  // extra draws of a tiny request), and a sparse graph well above the
+  // parallel grain.
+  for (const Case c : {Case{300, 44'000}, Case{1'000, 5},
+                       Case{100'000, 300'000}}) {
+    const EdgeList expect = nm_with_nth_element_trim(c.n, c.m, 17);
+    ASSERT_EQ(expect.num_edges(), c.m);
+    for (const int workers : {1, 4}) {
+      ScopedNumWorkers guard(workers);
+      const EdgeList got = random_graph_nm(c.n, c.m, 17);
+      EXPECT_TRUE(std::ranges::equal(got.edges(), expect.edges()))
+          << "n " << c.n << " m " << c.m << " workers " << workers;
+    }
+  }
+}
 
 TEST(ErdosRenyi, EdgeCountMatchesExpectation) {
   const uint64_t n = 2'000;

@@ -106,6 +106,12 @@ TEST_F(IoTest, EdgeListVertexCountInference) {
   write_edge_list(file("i.edges"), el);
   EXPECT_EQ(read_edge_list(file("i.edges")).num_vertices(), 8u);
   EXPECT_EQ(read_edge_list(file("i.edges"), 10).num_vertices(), 10u);
+  // An endpoint past the 32-bit id range, or a vertex count the file is
+  // far too short to justify (3e9 offsets, 24 GB, from a dozen bytes).
+  std::ofstream(file("wide.edges")) << "EdgeArray\n0 4294967296\n";
+  EXPECT_THROW(read_edge_list(file("wide.edges")), CheckFailure);
+  std::ofstream(file("far.edges")) << "EdgeArray\n0 3000000000\n";
+  EXPECT_THROW(read_edge_list(file("far.edges")), CheckFailure);
 }
 
 TEST_F(IoTest, MissingFileThrows) {

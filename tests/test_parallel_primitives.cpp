@@ -300,9 +300,9 @@ TEST(Pack, KeepsFlaggedValuesInOrder) {
     in[static_cast<std::size_t>(i)] = static_cast<uint32_t>(i * 3);
   // Keep every element whose *index* hashes even (pack flags by index).
   auto keep = [](int64_t i) { return hash64(7, static_cast<uint64_t>(i)) % 2 == 0; };
-  const std::vector<uint32_t> out =
+  const UninitVector<uint32_t> out =
       pack(std::span<const uint32_t>(in), keep);
-  std::vector<uint32_t> expect;
+  UninitVector<uint32_t> expect;
   for (int64_t i = 0; i < n; ++i)
     if (keep(i)) expect.push_back(in[static_cast<std::size_t>(i)]);
   EXPECT_EQ(out, expect);
@@ -392,7 +392,7 @@ TEST_P(GrainBoundary, PrimitivesMatchSerialReference) {
     EXPECT_FALSE(forked.load());
   }
 
-  std::vector<int64_t> packed_ref;
+  UninitVector<int64_t> packed_ref;
   std::vector<uint32_t> index_ref;
   std::vector<int64_t> scan_ref(static_cast<std::size_t>(n));
   int64_t sum_ref = 0;

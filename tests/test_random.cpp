@@ -213,7 +213,7 @@ TEST(Permutation, FisherYatesSmallCasesExhaustive) {
 
 TEST(Permutation, InvertRoundTrips) {
   const std::vector<uint32_t> p = random_permutation(5'000, 21);
-  const std::vector<uint32_t> r = invert_permutation(p);
+  const UninitVector<uint32_t> r = invert_permutation(p);
   ASSERT_EQ(r.size(), p.size());
   for (uint32_t i = 0; i < p.size(); ++i) {
     EXPECT_EQ(r[p[i]], i);
